@@ -108,6 +108,8 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
 
   const size_t num_edges = flat.num_edges();
   const double delta = mcf_internal::FptasDelta(flat, epsilon);
+  // Only for the shared component tables, certificate and finalize.
+  const FptasWorkspace ws(flat, epsilon);
   std::vector<double> length(num_edges);
   for (size_t l = 0; l < num_edges; ++l) {
     length[l] = delta / cap[l];
@@ -127,15 +129,23 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
   // against a threshold alpha that grows by (1 + eps) per phase. A
   // commodity keeps pushing along its cheapest path while that path is
   // shorter than min(1, alpha * (1 + eps)); when every commodity's cheapest
-  // path reaches 1 the algorithm stops.
+  // path reaches 1 the algorithm stops. A link-sharing component also stops
+  // once its certificate holds (checked at the end of phases 1, 2, 4, ...).
   const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
   int64_t pushes = 0;
   int64_t phases = 0;
+  mcf_internal::FptasCertifier certifier(flat, ws, epsilon);
+  std::vector<uint8_t> stopped(ws.num_components, 0);
+  size_t num_stopped = 0;
+  int64_t cert_checks = 0;
   double alpha = delta * static_cast<double>(flat.max_len);
-  while (alpha < 1.0 && pushes < max_pushes) {
+  while (alpha < 1.0 && pushes < max_pushes && num_stopped < ws.num_components) {
     ++phases;
     double threshold = std::min(1.0, alpha * (1.0 + epsilon));
     for (size_t c = 0; c < flat.commodity_paths.size() && pushes < max_pushes; ++c) {
+      if (ws.com_component[c] >= 0 && stopped[static_cast<size_t>(ws.com_component[c])]) {
+        continue;  // Certified: its component pushes no more.
+      }
       for (;;) {
         // Cheapest of this commodity's paths.
         int best = -1;
@@ -165,18 +175,33 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
         }
       }
     }
+    if (mcf_internal::IsCertCheckPhase(phases) && pushes < max_pushes) {
+      for (size_t k = 0; k < ws.num_components; ++k) {
+        if (stopped[k]) {
+          continue;
+        }
+        ++cert_checks;
+        if (certifier.Check(ws.ComponentCommodities(k), phases, length.data(), raw_flow.data())
+                .certified) {
+          stopped[k] = 1;
+          ++num_stopped;
+        }
+      }
+    }
     alpha *= 1.0 + epsilon;
   }
 
   BDS_TELEMETRY_COUNT("fptas.reference.solves", 1);
   BDS_TELEMETRY_COUNT("fptas.reference.pushes", pushes);
   BDS_TELEMETRY_COUNT("fptas.reference.phases", phases);
+  BDS_TELEMETRY_COUNT("fptas.reference.cert_checks", cert_checks);
+  BDS_TELEMETRY_COUNT("fptas.reference.certified_stops", static_cast<int64_t>(num_stopped));
   telemetry::TraceInstant("fptas.reference", "lp",
                           {{"commodities", static_cast<double>(flat.commodity_paths.size())},
                            {"paths", static_cast<double>(paths.size())},
                            {"pushes", static_cast<double>(pushes)},
                            {"phases", static_cast<double>(phases)}});
-  mcf_internal::FinalizeFptas(flat, epsilon, delta, raw_flow, result);
+  mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
   return result;
 }
 
@@ -190,7 +215,8 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
 // IS consulted, its path lengths are recomputed by fresh scans in link order
 // (the identical floating-point sums), the structured-shape fast kinds only
 // reorder provably-equal arithmetic (sentinel adds of 0.0, hoisted shared
-// loads), and the cached minimum only skips scans whose outcome is proved.
+// loads, lengths held in registers across a run of pushes), and the cached
+// minimum only skips scans whose outcome is proved.
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
   return SolveMcfFptas(instance, epsilon, nullptr, nullptr);
 }
@@ -252,6 +278,8 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
   BDS_TELEMETRY_COUNT("fptas.phases", stats.phases);
   BDS_TELEMETRY_COUNT("fptas.bound_skips", stats.bound_skips);
   BDS_TELEMETRY_COUNT("fptas.commodities_retired", stats.commodities_retired);
+  BDS_TELEMETRY_COUNT("fptas.cert_checks", stats.cert_checks);
+  BDS_TELEMETRY_COUNT("fptas.certified_stops", stats.certified_stops);
   if (use_warm) {
     BDS_TELEMETRY_COUNT("fptas.warm.solves", 1);
     BDS_TELEMETRY_COUNT("fptas.warm.seeded_commodities", wstate.seeded_commodities);
@@ -262,7 +290,7 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
                            {"paths", static_cast<double>(ws.num_paths)},
                            {"pushes", static_cast<double>(stats.pushes)},
                            {"phases", static_cast<double>(stats.phases)}});
-  mcf_internal::FinalizeFptas(flat, epsilon, delta, raw_flow, result);
+  mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
   return result;
 }
 

@@ -8,7 +8,8 @@
 //    baseline;
 //  * SolveMcfFptas   — the Garg–Könemann / Fleischer width-independent FPTAS
 //    the paper adopts ([17,18] in §4.4), returning a (1-eps)-optimal flow in
-//    time independent of the number of commodities.
+//    time independent of the number of commodities, and stopping each
+//    link-sharing component as soon as a duality bound certifies it.
 
 #ifndef BDS_SRC_LP_MCF_H_
 #define BDS_SRC_LP_MCF_H_
@@ -58,6 +59,18 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // Garg–Könemann FPTAS: total flow >= (1 - epsilon) * optimum, capacities and
 // demands respected exactly. epsilon in (0, 0.5].
 //
+// Certified early stop: commodities couple only through shared links, so
+// each link-sharing component runs its own Fleischer ladder. At the end of
+// phases 1, 2, 4, 8, ... a component whose finalized flow is provably
+// within 1/(1 + epsilon/10) of its optimum stops pushing. The proof is weak
+// duality: the current edge lengths, scaled by one free factor s, plus one
+// dual variable per commodity demand, form a feasible dual whose value
+// bounds the component's optimum from above. A component that never
+// certifies runs the full ladder. The finalize normalizes each component
+// by its own maximum edge congestion (no theoretical scale factor) and tops
+// paths up with two greedy rounds, so the returned flow is feasible and
+// maximal either way.
+//
 // The default solver runs Fleischer's phase structure over a flat CSR form
 // with incrementally maintained lower bounds: path links, per-link weight
 // factors, and bottleneck capacities are precomputed once; commodities whose
@@ -101,9 +114,10 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon,
                         const McfWarmSeed* warm, McfWarmInfo* warm_info = nullptr);
 
 // The original straightforward Fleischer loop (full rescan of a commodity's
-// path lengths per push, every commodity visited every phase). Retained as
-// the ground truth the incremental solver must match exactly; used by the
-// parity property tests and the bench ablation.
+// path lengths per push, every uncertified commodity visited every phase).
+// Retained as the ground truth the incremental solver must match exactly:
+// it shares the certificate and stops each component at the same phase.
+// Used by the parity property tests and the bench ablation.
 McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon = 0.1);
 
 // Validation helper shared by tests: largest relative link-capacity

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "src/common/status.h"
@@ -14,6 +16,7 @@ namespace mcf_internal {
 FlatMcf FlattenMcf(const McfInstance& instance) {
   FlatMcf flat;
   flat.cap = instance.capacities;
+  flat.num_links = flat.cap.size();
   for (int c = 0; c < instance.num_commodities(); ++c) {
     const McfCommodity& com = instance.commodities[static_cast<size_t>(c)];
     int demand_edge = -1;
@@ -74,56 +77,190 @@ McfResult MakeEmptyFptasResult(const McfInstance& instance) {
   return result;
 }
 
-void FinalizeFptas(const FlatMcf& flat, double epsilon, double delta,
-                   std::vector<double>& raw_flow, McfResult& result) {
-  const size_t num_edges = flat.num_edges();
-  const std::vector<double>& cap = flat.cap;
-  const std::vector<FlatPath>& paths = flat.paths;
+namespace {
 
-  const double scale = std::log((1.0 + epsilon) / delta) / std::log(1.0 + epsilon);
-  BDS_CHECK(scale > 0.0);
-  for (double& f : raw_flow) {
-    f /= scale;
-  }
-  std::vector<double> load(num_edges, 0.0);
-  for (size_t i = 0; i < paths.size(); ++i) {
-    for (int l : paths[i].links) {
-      load[static_cast<size_t>(l)] += raw_flow[i];
+// Calls fn(path id, first link, one-past-last link) for every path of
+// `coms`, in ascending flat path order.
+template <typename Fn>
+void ForEachPath(const FptasWorkspace& ws, std::span<const int32_t> coms, Fn&& fn) {
+  for (int32_t c : coms) {
+    for (int32_t idx = ws.cp_off[c]; idx < ws.cp_off[c + 1]; ++idx) {
+      const int32_t pi = ws.cp_ids[static_cast<size_t>(idx)];
+      fn(pi, ws.path_links.data() + ws.path_off[pi], ws.path_links.data() + ws.path_off[pi + 1]);
     }
   }
-  double worst = 1.0;
-  for (size_t l = 0; l < num_edges; ++l) {
-    if (cap[l] > 0.0) {
-      worst = std::max(worst, load[l] / cap[l]);
+}
+
+// load[e] = sum of flow over the paths of `coms` through e, for their edges.
+void AccumulateLoad(const FptasWorkspace& ws, std::span<const int32_t> coms, const double* flow,
+                    double* load) {
+  ForEachPath(ws, coms, [&](int32_t, const int32_t* lb, const int32_t* le) {
+    for (const int32_t* l = lb; l != le; ++l) {
+      load[*l] = 0.0;
     }
-  }
-  for (size_t i = 0; i < paths.size(); ++i) {
-    raw_flow[i] /= worst;
-  }
-  for (size_t l = 0; l < num_edges; ++l) {
-    load[l] /= worst;
-  }
+  });
+  ForEachPath(ws, coms, [&](int32_t pi, const int32_t* lb, const int32_t* le) {
+    for (const int32_t* l = lb; l != le; ++l) {
+      load[*l] += flow[pi];
+    }
+  });
+}
+
+// Scale-free finalize, in place, of the commodities `coms` (see
+// FinalizeFptas): `flow` (indexed by flat path id) holds their raw flow on
+// entry and their final flow on return; `raw_load` and `load` (indexed by
+// edge id) are scratch. Touches only the paths and edges of `coms`. Returns
+// their total.
+double FinalizeCommodities(const FlatMcf& flat, const FptasWorkspace& ws,
+                           std::span<const int32_t> coms, double* flow, double* raw_load,
+                           double* load) {
+  const std::vector<double>& cap = flat.cap;
+  AccumulateLoad(ws, coms, flow, raw_load);
+  // Every edge on a flat path has positive capacity (FlattenMcf drops paths
+  // through zero-capacity edges).
+  double worst = 0.0;
+  ForEachPath(ws, coms, [&](int32_t, const int32_t* lb, const int32_t* le) {
+    for (const int32_t* l = lb; l != le; ++l) {
+      worst = std::max(worst, raw_load[*l] / cap[static_cast<size_t>(*l)]);
+    }
+  });
+  // Flows and edge loads are both divided by the worst congestion (the
+  // loads are scaled, not re-summed from the scaled flows).
+  const double norm = worst > 0.0 ? worst : 1.0;
+  ForEachPath(ws, coms, [&](int32_t pi, const int32_t* lb, const int32_t* le) {
+    flow[pi] /= norm;
+    for (const int32_t* l = lb; l != le; ++l) {
+      load[*l] = raw_load[*l] / norm;
+    }
+  });
 
   for (int round = 0; round < 2; ++round) {
-    for (size_t i = 0; i < paths.size(); ++i) {
+    ForEachPath(ws, coms, [&](int32_t pi, const int32_t* lb, const int32_t* le) {
       double slack = std::numeric_limits<double>::infinity();
-      for (int l : paths[i].links) {
-        slack = std::min(slack, cap[static_cast<size_t>(l)] - load[static_cast<size_t>(l)]);
+      for (const int32_t* l = lb; l != le; ++l) {
+        slack = std::min(slack, cap[static_cast<size_t>(*l)] - load[*l]);
       }
       if (slack > kFluidEpsilon) {
-        raw_flow[i] += slack;
-        for (int l : paths[i].links) {
-          load[static_cast<size_t>(l)] += slack;
+        flow[pi] += slack;
+        for (const int32_t* l = lb; l != le; ++l) {
+          load[*l] += slack;
         }
       }
-    }
+    });
   }
 
+  double total = 0.0;
+  ForEachPath(ws, coms, [&](int32_t pi, const int32_t*, const int32_t*) { total += flow[pi]; });
+  return total;
+}
+
+}  // namespace
+
+void FinalizeFptas(const FlatMcf& flat, const FptasWorkspace& ws,
+                   std::vector<double>& raw_flow, McfResult& result) {
+  std::vector<double> raw_load(flat.num_edges(), 0.0);
+  std::vector<double> load(flat.num_edges(), 0.0);
+  for (size_t k = 0; k < ws.num_components; ++k) {
+    FinalizeCommodities(flat, ws, ws.ComponentCommodities(k), raw_flow.data(), raw_load.data(),
+                        load.data());
+  }
+  const std::vector<FlatPath>& paths = flat.paths;
   for (size_t i = 0; i < paths.size(); ++i) {
     result.flow[static_cast<size_t>(paths[i].commodity)][static_cast<size_t>(paths[i].path_index)] =
         raw_flow[i];
     result.total_flow += raw_flow[i];
   }
+}
+
+double FptasCertifier::DualBound(std::span<const int32_t> coms, const double* length) {
+  const FlatMcf& flat = flat_;
+  const FptasWorkspace& ws = ws_;
+  const int32_t num_links = static_cast<int32_t>(flat.num_links);
+  // sum_e cap_e * length_e over the distinct real links of the paths, in
+  // order of first appearance; seen_ is all-zero again on return.
+  double weighted = 0.0;
+  ForEachPath(ws, coms, [&](int32_t, const int32_t* lb, const int32_t* le) {
+    for (const int32_t* l = lb; l != le; ++l) {
+      if (*l < num_links && !seen_[static_cast<size_t>(*l)]) {
+        seen_[static_cast<size_t>(*l)] = 1;
+        weighted += flat.cap[static_cast<size_t>(*l)] * length[*l];
+      }
+    }
+  });
+  ForEachPath(ws, coms, [&](int32_t, const int32_t* lb, const int32_t* le) {
+    for (const int32_t* l = lb; l != le; ++l) {
+      seen_[static_cast<size_t>(*l)] = 0;
+    }
+  });
+  // Breakpoints (m_c, d_c) of the capped commodities; s_max caps s at the
+  // cheapest uncapped commodity, whose paths need y summing to >= 1 from
+  // the real links alone.
+  std::vector<std::pair<double, double>> capped;
+  double s_max = std::numeric_limits<double>::infinity();
+  for (int32_t c : coms) {
+    double m = std::numeric_limits<double>::infinity();
+    for (int32_t idx = ws.cp_off[c]; idx < ws.cp_off[c + 1]; ++idx) {
+      const int32_t pi = ws.cp_ids[static_cast<size_t>(idx)];
+      double s = 0.0;
+      for (int32_t j = ws.path_off[pi]; j < ws.path_off[pi + 1]; ++j) {
+        const int32_t l = ws.path_links[static_cast<size_t>(j)];
+        if (l < num_links) {
+          s += length[l];
+        }
+      }
+      m = std::min(m, s);
+    }
+    const int32_t demand_edge = ws.com_demand_edge[static_cast<size_t>(c)];
+    if (demand_edge >= 0) {
+      capped.emplace_back(m, flat.cap[static_cast<size_t>(demand_edge)]);
+    } else {
+      s_max = std::min(s_max, m);
+    }
+  }
+  std::sort(capped.begin(), capped.end());
+
+  // With D, M the sums of d_c and d_c * m_c over the commodities with
+  // m_c < s, the objective at s is (weighted - M) / s + D.
+  double bound = std::numeric_limits<double>::infinity();
+  double d_sum = 0.0, dm_sum = 0.0;
+  for (size_t k = 0; k < capped.size() && capped[k].first < s_max; ++k) {
+    const auto [m, d] = capped[k];
+    if (m > 0.0) {
+      bound = std::min(bound, (weighted - dm_sum) / m + d_sum);
+    }
+    d_sum += d;
+    dm_sum += d * m;
+  }
+  if (s_max < std::numeric_limits<double>::infinity()) {
+    bound = std::min(bound, (weighted - dm_sum) / s_max + d_sum);
+  } else {
+    bound = std::min(bound, d_sum);
+  }
+  return bound;
+}
+
+FptasCertifier::FptasCertifier(const FlatMcf& flat, const FptasWorkspace& ws, double epsilon)
+    : flat_(flat), ws_(ws), tolerance_(1.0 + epsilon / 10.0) {}
+
+FptasCertRecord FptasCertifier::Check(std::span<const int32_t> coms, int64_t phase,
+                                      const double* length, const double* raw_flow) {
+  if (flow_.empty()) {
+    flow_.assign(ws_.num_paths, 0.0);
+    raw_load_.assign(ws_.num_edges, 0.0);
+    load_.assign(ws_.num_edges, 0.0);
+    seen_.assign(ws_.num_edges, 0);
+  }
+  ForEachPath(ws_, coms, [&](int32_t pi, const int32_t*, const int32_t*) {
+    flow_[static_cast<size_t>(pi)] = raw_flow[pi];
+  });
+  FptasCertRecord rec;
+  rec.component = ws_.com_component[static_cast<size_t>(coms.front())];
+  rec.phase = phase;
+  rec.primal =
+      FinalizeCommodities(flat_, ws_, coms, flow_.data(), raw_load_.data(), load_.data());
+  rec.bound = DualBound(coms, length);
+  rec.certified = rec.primal * tolerance_ >= rec.bound;
+  return rec;
 }
 
 FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
@@ -229,15 +366,25 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
     if (pcount != 3 && pcount != 1) {
       continue;
     }
-    bool small = true;
-    for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
+    // At most two middles per path. The fast loops keep every slot's length
+    // in a register across a run of pushes, so a real link may also fill
+    // only one slot: the shared links and all middles must be distinct.
+    bool fast = true;
+    int32_t slot_links[9] = {com_first[c], com_penult[c], com_last[c]};
+    int num_slots = 3;
+    for (int32_t idx = cp_off[c]; fast && idx < cp_off[c + 1]; ++idx) {
       const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-      if (mid_off[pi + 1] - mid_off[pi] > 2) {
-        small = false;
-        break;
+      fast = mid_off[pi + 1] - mid_off[pi] <= 2;
+      for (int32_t j = mid_off[pi]; fast && j < mid_off[pi + 1]; ++j) {
+        slot_links[num_slots++] = mid_links[static_cast<size_t>(j)];
       }
     }
-    if (!small) {
+    for (int a = 0; fast && a < num_slots; ++a) {
+      for (int b = a + 1; fast && b < num_slots; ++b) {
+        fast = slot_links[a] != slot_links[b];
+      }
+    }
+    if (!fast) {
       continue;
     }
     com_kind[c] = pcount == 3 ? kFast3 : kFast1;
@@ -252,10 +399,9 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
       }
     }
   }
-  // Padded push rows for the fast kinds: every fast path's links as exactly
-  // five (link, factor) slots with sentinel slots carrying factor 1.0
-  // (0.0 * 1.0 == +0.0, bitwise).
-  push5_ids.assign(5 * num_paths, sentinel);
+  // Padded push rows for the fast kinds: every fast path's link factors as
+  // exactly five slots (first, two middles, penultimate, last), sentinel
+  // slots carrying factor 1.0 (0.0 * 1.0 == +0.0, bitwise).
   push5_fac.assign(5 * num_paths, 1.0);
   for (size_t c = 0; c < num_commodities; ++c) {
     if (com_kind[c] != kFast3 && com_kind[c] != kFast1) {
@@ -263,18 +409,91 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
     }
     for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
       const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-      int32_t* ids = push5_ids.data() + 5 * static_cast<size_t>(pi);
       double* fac = push5_fac.data() + 5 * static_cast<size_t>(pi);
-      int slot = 0;
-      for (int32_t j = path_off[pi]; j < path_off[pi + 1]; ++j, ++slot) {
+      for (int32_t j = path_off[pi]; j < path_off[pi + 1]; ++j) {
         // Real width is 3..5; middles shorter than 2 leave sentinel slots in
         // positions 1..2 (already initialized above).
         const int real = path_off[pi + 1] - path_off[pi];
         const int pos = j - path_off[pi];
         const int out = pos == 0 ? 0 : pos >= real - 2 ? pos + (5 - real) : pos;
-        ids[out] = path_links[static_cast<size_t>(j)];
         fac[out] = path_factor[static_cast<size_t>(j)];
       }
+    }
+  }
+
+  BuildComponents(flat);
+}
+
+void FptasWorkspace::BuildComponents(const FlatMcf& flat) {
+  // Union-find over edge ids with path halving and no ranks: b's root goes
+  // under a's, so the roots depend only on the (deterministic) merge order.
+  std::vector<int32_t> parent(num_edges);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](int32_t x) {
+    while (parent[static_cast<size_t>(x)] != x) {
+      parent[static_cast<size_t>(x)] = parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
+      x = parent[static_cast<size_t>(x)];
+    }
+    return x;
+  };
+  // Every edge of every path of a commodity joins the commodity's first
+  // edge (a capped commodity's demand edge would do this implicitly;
+  // uncapped multi-path commodities need the cross-path union too).
+  auto anchor = [&](size_t c) {
+    return path_links[static_cast<size_t>(path_off[cp_ids[static_cast<size_t>(cp_off[c])]])];
+  };
+  for (size_t c = 0; c < num_commodities; ++c) {
+    if (cp_off[c] == cp_off[c + 1]) {
+      continue;
+    }
+    const int32_t a = find(anchor(c));
+    for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
+      const int32_t pi = cp_ids[static_cast<size_t>(idx)];
+      for (int32_t j = path_off[pi]; j < path_off[pi + 1]; ++j) {
+        const int32_t b = find(path_links[static_cast<size_t>(j)]);
+        if (b != a) {
+          parent[static_cast<size_t>(b)] = a;
+        }
+      }
+    }
+  }
+
+  // Components in order of first appearance over ascending commodity ids.
+  std::vector<int32_t> root_comp(num_edges, -1);
+  com_component.assign(num_commodities, -1);
+  com_demand_edge.assign(num_commodities, -1);
+  for (size_t c = 0; c < num_commodities; ++c) {
+    if (cp_off[c] == cp_off[c + 1]) {
+      continue;
+    }
+    int32_t& comp = root_comp[static_cast<size_t>(find(anchor(c)))];
+    if (comp < 0) {
+      comp = static_cast<int32_t>(num_components++);
+    }
+    com_component[c] = comp;
+    const int32_t first_path = cp_ids[static_cast<size_t>(cp_off[c])];
+    const int32_t last = path_links[static_cast<size_t>(path_off[first_path + 1] - 1)];
+    if (static_cast<size_t>(last) >= flat.num_links) {
+      com_demand_edge[c] = last;
+    }
+  }
+
+  // Each component's commodities, ascending (CSR).
+  comp_com_off.assign(num_components + 1, 0);
+  for (size_t c = 0; c < num_commodities; ++c) {
+    if (com_component[c] >= 0) {
+      ++comp_com_off[static_cast<size_t>(com_component[c]) + 1];
+    }
+  }
+  for (size_t k = 0; k < num_components; ++k) {
+    comp_com_off[k + 1] += comp_com_off[k];
+  }
+  comp_coms.resize(static_cast<size_t>(comp_com_off[num_components]));
+  std::vector<int32_t> next(comp_com_off.begin(), comp_com_off.end() - 1);
+  for (size_t c = 0; c < num_commodities; ++c) {
+    if (com_component[c] >= 0) {
+      comp_coms[static_cast<size_t>(next[static_cast<size_t>(com_component[c])]++)] =
+          static_cast<int32_t>(c);
     }
   }
 }
@@ -317,6 +536,55 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
       active.push_back(c);
     }
   }
+
+  // Certified early stop (see the header), per link-sharing component. The
+  // checked set is the component itself, except where this loop holds only
+  // part of it (a split_contended range): such a component gets a slice of
+  // this loop's commodities of it, ascending, in slice_coms.
+  const std::vector<int32_t>& com_component = ws.com_component;
+  std::vector<int64_t> comp_checked(ws.num_components, 0);  // Phase of the last check.
+  std::vector<uint8_t> comp_stopped(ws.num_components, 0);
+  std::vector<int32_t> comp_slice(ws.num_components, -1);
+  std::vector<int32_t> slice_off;
+  std::vector<int32_t> slice_coms;
+  {
+    std::vector<int32_t> held(ws.num_components, 0);  // This loop's commodities.
+    for (int32_t c : active) {
+      ++held[static_cast<size_t>(com_component[static_cast<size_t>(c)])];
+    }
+    std::vector<uint8_t> in_loop;
+    for (size_t k = 0; k < ws.num_components; ++k) {
+      const std::span<const int32_t> coms = ws.ComponentCommodities(k);
+      if (held[k] == 0 || held[k] == static_cast<int32_t>(coms.size())) {
+        continue;
+      }
+      if (in_loop.empty()) {
+        in_loop.assign(ws.num_commodities, 0);
+        for (int32_t c : active) {
+          in_loop[static_cast<size_t>(c)] = 1;
+        }
+        slice_off.push_back(0);
+      }
+      comp_slice[k] = static_cast<int32_t>(slice_off.size() - 1);
+      for (int32_t c : coms) {
+        if (in_loop[static_cast<size_t>(c)]) {
+          slice_coms.push_back(c);
+        }
+      }
+      slice_off.push_back(static_cast<int32_t>(slice_coms.size()));
+    }
+  }
+  auto checked_set = [&](size_t k) -> std::span<const int32_t> {
+    const int32_t s = comp_slice[k];
+    if (s < 0) {
+      return ws.ComponentCommodities(k);
+    }
+    return {slice_coms.data() + slice_off[static_cast<size_t>(s)],
+            slice_coms.data() + slice_off[static_cast<size_t>(s) + 1]};
+  };
+  FptasCertifier certifier(flat, ws, epsilon);
+  std::vector<FptasCertRecord>* cert_log = control != nullptr ? control->cert_log : nullptr;
+  int64_t certified_commodities = 0;
 
   // Cross-group advisory budget (see FptasLoopControl): report every
   // kSharedReport pushes; once the shared total covers the global budget,
@@ -369,20 +637,34 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
         }
       };
       if (kind == kFast3) {
-        const double* L = length.data();
+        // Every real slot is a distinct edge (see the workspace), so a run
+        // of pushes works on register copies of the lengths and raw flows
+        // -- the same operations in the same order -- and writes them back
+        // once. The factors are picked by a branch on the cheapest path,
+        // not by its index, so the length updates do not wait on the
+        // comparison when the branch predicts.
         const int32_t f0 = ws.com_first[cs], f1 = ws.com_penult[cs], f2 = ws.com_last[cs];
         const int32_t* fm = ws.fast_mids.data() + ws.fm_base[cs];
         const int32_t p0 = cp_ids[static_cast<size_t>(cp_off[c])];
         const int32_t p1 = cp_ids[static_cast<size_t>(cp_off[c]) + 1];
         const int32_t p2 = cp_ids[static_cast<size_t>(cp_off[c]) + 2];
+        const double* q0 = ws.push5_fac.data() + 5 * static_cast<size_t>(p0);
+        const double* q1 = ws.push5_fac.data() + 5 * static_cast<size_t>(p1);
+        const double* q2 = ws.push5_fac.data() + 5 * static_cast<size_t>(p2);
+        double* L = length.data();
+        double h0 = L[f0], h1 = L[f1], h2 = L[f2];
+        double a0 = L[fm[0]], a1 = L[fm[1]], a2 = L[fm[2]];
+        double a3 = L[fm[3]], a4 = L[fm[4]], a5 = L[fm[5]];
+        double r0 = raw_flow[static_cast<size_t>(p0)];
+        double r1 = raw_flow[static_cast<size_t>(p1)];
+        double r2 = raw_flow[static_cast<size_t>(p2)];
         for (;;) {
-          const double h0 = L[f0], h1 = L[f1], h2 = L[f2];
-          double s0 = h0 + L[fm[0]];
-          double s1 = h0 + L[fm[2]];
-          double s2 = h0 + L[fm[4]];
-          s0 += L[fm[1]];
-          s1 += L[fm[3]];
-          s2 += L[fm[5]];
+          double s0 = h0 + a0;
+          double s1 = h0 + a2;
+          double s2 = h0 + a4;
+          s0 += a1;
+          s1 += a3;
+          s2 += a5;
           s0 += h1;
           s1 += h1;
           s2 += h1;
@@ -390,83 +672,112 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
           s1 += h2;
           s2 += h2;
           double m = s0;
-          int32_t best = p0;
+          int which = 0;
           if (s1 < m) {
             m = s1;
-            best = p1;
+            which = 1;
           }
           if (s2 < m) {
             m = s2;
-            best = p2;
+            which = 2;
           }
           if (m >= threshold) {
             cached_min[cs] = m;
             retired = m >= 1.0;
             break;
           }
-          raw_flow[static_cast<size_t>(best)] += path_bneck[static_cast<size_t>(best)];
-          {
-            double* Lw = length.data();
-            const int32_t* qi = ws.push5_ids.data() + 5 * static_cast<size_t>(best);
-            const double* qf = ws.push5_fac.data() + 5 * static_cast<size_t>(best);
-            Lw[qi[0]] *= qf[0];
-            Lw[qi[1]] *= qf[1];
-            Lw[qi[2]] *= qf[2];
-            Lw[qi[3]] *= qf[3];
-            Lw[qi[4]] *= qf[4];
+          if (which == 0) {
+            r0 += path_bneck[static_cast<size_t>(p0)];
+            h0 *= q0[0];
+            a0 *= q0[1];
+            a1 *= q0[2];
+            h1 *= q0[3];
+            h2 *= q0[4];
+          } else if (which == 1) {
+            r1 += path_bneck[static_cast<size_t>(p1)];
+            h0 *= q1[0];
+            a2 *= q1[1];
+            a3 *= q1[2];
+            h1 *= q1[3];
+            h2 *= q1[4];
+          } else {
+            r2 += path_bneck[static_cast<size_t>(p2)];
+            h0 *= q2[0];
+            a4 *= q2[1];
+            a5 *= q2[2];
+            h1 *= q2[3];
+            h2 *= q2[4];
           }
           ++unreported;
           if (++pushes >= max_pushes || shared_cutoff()) {
             pushes = std::max(pushes, max_pushes);
             break;
           }
-          const double lb = L[f2];
-          if (lb >= threshold) {
-            cached_min[cs] = lb;
-            retired = lb >= 1.0;
+          if (h2 >= threshold) {
+            cached_min[cs] = h2;
+            retired = h2 >= 1.0;
             ++stats.bound_skips;
             break;
           }
         }
+        // Sentinel slots write back their unchanged 0.0.
+        L[f0] = h0;
+        L[fm[0]] = a0;
+        L[fm[1]] = a1;
+        L[fm[2]] = a2;
+        L[fm[3]] = a3;
+        L[fm[4]] = a4;
+        L[fm[5]] = a5;
+        L[f1] = h1;
+        L[f2] = h2;
+        raw_flow[static_cast<size_t>(p0)] = r0;
+        raw_flow[static_cast<size_t>(p1)] = r1;
+        raw_flow[static_cast<size_t>(p2)] = r2;
       } else if (kind == kFast1) {
-        const double* L = length.data();
+        // As kFast3, with one path.
         const int32_t f0 = ws.com_first[cs], f1 = ws.com_penult[cs], f2 = ws.com_last[cs];
         const int32_t* fm = ws.fast_mids.data() + ws.fm_base[cs];
         const int32_t p0 = cp_ids[static_cast<size_t>(cp_off[c])];
+        const double* q0 = ws.push5_fac.data() + 5 * static_cast<size_t>(p0);
+        const double bneck = path_bneck[static_cast<size_t>(p0)];
+        double* L = length.data();
+        double h0 = L[f0], h1 = L[f1], h2 = L[f2];
+        double a0 = L[fm[0]], a1 = L[fm[1]];
+        double r0 = raw_flow[static_cast<size_t>(p0)];
         for (;;) {
-          double s0 = L[f0] + L[fm[0]];
-          s0 += L[fm[1]];
-          s0 += L[f1];
-          s0 += L[f2];
+          double s0 = h0 + a0;
+          s0 += a1;
+          s0 += h1;
+          s0 += h2;
           if (s0 >= threshold) {
             cached_min[cs] = s0;
             retired = s0 >= 1.0;
             break;
           }
-          raw_flow[static_cast<size_t>(p0)] += path_bneck[static_cast<size_t>(p0)];
-          {
-            double* Lw = length.data();
-            const int32_t* qi = ws.push5_ids.data() + 5 * static_cast<size_t>(p0);
-            const double* qf = ws.push5_fac.data() + 5 * static_cast<size_t>(p0);
-            Lw[qi[0]] *= qf[0];
-            Lw[qi[1]] *= qf[1];
-            Lw[qi[2]] *= qf[2];
-            Lw[qi[3]] *= qf[3];
-            Lw[qi[4]] *= qf[4];
-          }
+          r0 += bneck;
+          h0 *= q0[0];
+          a0 *= q0[1];
+          a1 *= q0[2];
+          h1 *= q0[3];
+          h2 *= q0[4];
           ++unreported;
           if (++pushes >= max_pushes || shared_cutoff()) {
             pushes = std::max(pushes, max_pushes);
             break;
           }
-          const double lb = L[f2];
-          if (lb >= threshold) {
-            cached_min[cs] = lb;
-            retired = lb >= 1.0;
+          if (h2 >= threshold) {
+            cached_min[cs] = h2;
+            retired = h2 >= 1.0;
             ++stats.bound_skips;
             break;
           }
         }
+        L[f0] = h0;
+        L[fm[0]] = a0;
+        L[fm[1]] = a1;
+        L[f1] = h1;
+        L[f2] = h2;
+        raw_flow[static_cast<size_t>(p0)] = r0;
       } else {
         const bool structured = kind == kStructured;
         for (;;) {
@@ -538,6 +849,39 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
       }
     }
     active.resize(out);
+
+    if (IsCertCheckPhase(stats.phases) && pushes < max_pushes) {
+      bool stopped = false;
+      for (int32_t c : active) {
+        const size_t k = static_cast<size_t>(com_component[static_cast<size_t>(c)]);
+        if (comp_checked[k] == stats.phases) {
+          continue;
+        }
+        comp_checked[k] = stats.phases;
+        const FptasCertRecord rec =
+            certifier.Check(checked_set(k), stats.phases, length.data(), raw_flow.data());
+        ++stats.cert_checks;
+        if (cert_log != nullptr) {
+          cert_log->push_back(rec);
+        }
+        if (rec.certified) {
+          comp_stopped[k] = 1;
+          ++stats.certified_stops;
+          stopped = true;
+        }
+      }
+      if (stopped) {
+        out = 0;
+        for (int32_t c : active) {
+          if (comp_stopped[static_cast<size_t>(com_component[static_cast<size_t>(c)])]) {
+            ++certified_commodities;
+          } else {
+            active[out++] = c;
+          }
+        }
+        active.resize(out);
+      }
+    }
     alpha *= 1.0 + epsilon;
   }
 
@@ -545,7 +889,8 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     shared_pushes->fetch_add(unreported, std::memory_order_relaxed);
   }
   stats.pushes = pushes;
-  stats.commodities_retired = static_cast<int64_t>(commodities.size() - active.size());
+  stats.commodities_retired =
+      static_cast<int64_t>(commodities.size() - active.size()) - certified_commodities;
   return stats;
 }
 
@@ -584,10 +929,13 @@ FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& fl
     }
   }
 
-  // Raw seed: finalized flow times the theoretical scale (FinalizeFptas
-  // divides by it), so a fully-seeded edge lands exactly where a converged
-  // multiplicative-weights run would leave it. Feasibility of the seed
-  // guarantees raw load <= scale * cap on every edge.
+  // Raw seed: finalized flow times the raw congestion a full cold ladder
+  // reaches (log_{1+eps}((1+eps)/delta)), so a fully-seeded edge lands
+  // where a converged multiplicative-weights run would leave it: its length
+  // near 1, which lets the first certificate check prove the seeded flow.
+  // Feasibility of the seed guarantees raw load <= scale * cap on every
+  // edge, and FinalizeFptas's normalization maps the seeded raw flow
+  // back onto the seed.
   const double scale = std::log((1.0 + epsilon) / delta) / std::log(1.0 + epsilon);
   for (size_t i = 0; i < flat.paths.size(); ++i) {
     const FlatPath& p = flat.paths[i];

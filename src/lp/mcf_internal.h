@@ -7,11 +7,12 @@
 //
 //  * FlatMcf / FlattenMcf — the flattened form (demands reduced to virtual
 //    edges, dead paths dropped). Every derived constant of the algorithm —
-//    delta, the alpha phase ladder, the push budget, the finalize scale —
-//    is a function of THIS struct, so two solvers sharing one FlatMcf share
-//    the exact numeric trajectory.
+//    delta, the alpha phase ladder, the push budget — is a function of THIS
+//    struct, so two solvers sharing one FlatMcf share the exact numeric
+//    trajectory.
 //  * FptasWorkspace — the CSR layout + structured-shape acceleration tables
-//    of the tuned solver, precomputed once per instance.
+//    of the tuned solver, plus the link-sharing components, precomputed once
+//    per instance.
 //  * RunFptasPushLoop — the tuned phase loop, parameterized by the commodity
 //    subset it may push for. Restricted to a subset whose paths are
 //    link-disjoint from every other subset's, the loop performs the
@@ -19,11 +20,16 @@
 //    full run, because no outside push can touch the lengths it reads. That
 //    property is what makes per-shard solves mergeable without any epsilon
 //    of divergence (see DESIGN.md "Sharded controller").
-//  * FinalizeFptas — theoretical rescale + global feasibility normalization
-//    + two greedy augmentation rounds. In the sharded solver this IS the
-//    merge step: it enforces the global capacity budget over the combined
-//    raw flow and rebalances slack, and it is a pure function of (flat,
-//    raw_flow) — order-independent of how the raw flow was produced.
+//  * FptasCertifier — the per-component early stop: a component stops
+//    pushing once a weak-duality bound computed from its current lengths
+//    proves that its finalized flow is within 1/(1 + eps/10) of its
+//    optimum. The check reads only the component's own lengths and raw
+//    flow, so every solver stops a component at the same phase.
+//  * FinalizeFptas — per-component feasibility normalization + two greedy
+//    augmentation rounds. In the sharded solver this IS the merge step: it
+//    enforces the capacity budget over the combined raw flow and rebalances
+//    slack, and it is a pure function of (flat, raw_flow) — order-
+//    independent of how the raw flow was produced.
 //
 // Everything here is an implementation detail: no stability promised.
 
@@ -32,6 +38,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/huge_alloc.h"
@@ -51,7 +58,10 @@ struct FlatPath {
 };
 
 struct FlatMcf {
+  // Real links first (cap[0, num_links) mirrors McfInstance::capacities),
+  // then one demand edge per capped commodity.
   std::vector<double> cap;
+  size_t num_links = 0;
   std::vector<FlatPath> paths;
   // Flattened path ids grouped by commodity, in path order.
   std::vector<std::vector<int>> commodity_paths;
@@ -74,18 +84,11 @@ int64_t MaxPushes(const FlatMcf& flat, double epsilon, double delta);
 // An all-zero result shaped like `instance` (ok stays false).
 McfResult MakeEmptyFptasResult(const McfInstance& instance);
 
-// Theoretical scaling, then exact feasibility normalization: divide by the
-// worst edge utilization so no capacity or demand is exceeded, then top each
-// path up with its residual slack (two greedy rounds in global path order),
-// making the final flow maximal. Scatters into `result` and accumulates
-// total_flow.
-void FinalizeFptas(const FlatMcf& flat, double epsilon, double delta,
-                   std::vector<double>& raw_flow, McfResult& result);
-
 // Precomputed acceleration tables for RunFptasPushLoop (the tuned solver's
 // CSR layout, per-path bottlenecks/factors, structured-shape detection and
-// padded fast rows). Pure function of (flat, epsilon); read-only during the
-// loop, so one workspace serves any number of concurrent per-shard loops.
+// padded fast rows) and the instance's link-sharing components. Pure
+// function of (flat, epsilon); read-only during the loop, so one workspace
+// serves any number of concurrent per-shard loops.
 // The CSR buffers are HugeVectors: at the fleet scale the push loop streams
 // them every phase, and transparent hugepages cut the TLB pressure; on
 // kernels without anon THP the allocator falls back silently.
@@ -113,10 +116,82 @@ struct FptasWorkspace {
   HugeVector<int32_t> mid_links;
   HugeVector<int32_t> fm_base;
   HugeVector<int32_t> fast_mids;
-  HugeVector<int32_t> push5_ids;
   HugeVector<double> push5_fac;
 
+  // Link-sharing components: commodities whose paths share an edge,
+  // directly or transitively (a commodity's demand edge and all its paths
+  // land in one component). Numbered by first appearance over ascending
+  // commodity ids; commodities without paths belong to none (-1).
+  size_t num_components = 0;
+  std::vector<int32_t> com_component;
+  std::vector<int32_t> com_demand_edge;  // -1: uncapped.
+  // CSR: component k's commodities, ascending, at
+  // comp_coms[comp_com_off[k] .. comp_com_off[k+1]).
+  std::vector<int32_t> comp_com_off;
+  std::vector<int32_t> comp_coms;
+
+  std::span<const int32_t> ComponentCommodities(size_t k) const {
+    return {comp_coms.data() + comp_com_off[k], comp_coms.data() + comp_com_off[k + 1]};
+  }
+
   static constexpr uint8_t kGeneric = 0, kStructured = 1, kFast3 = 2, kFast1 = 3;
+
+ private:
+  void BuildComponents(const FlatMcf& flat);
+};
+
+// Scale-free finalize of the combined raw flow, one link-sharing component
+// at a time: divide the component's flow and edge loads by its maximum edge
+// congestion, then top each path up with its residual slack (two greedy
+// rounds in path order), making the flow maximal. Scatters into `result`
+// and accumulates total_flow in flat path order.
+void FinalizeFptas(const FlatMcf& flat, const FptasWorkspace& ws,
+                   std::vector<double>& raw_flow, McfResult& result);
+
+// One certificate evaluation, as recorded by FptasLoopControl::cert_log.
+struct FptasCertRecord {
+  int32_t component = -1;  // Link-sharing component of the checked set.
+  int64_t phase = 0;       // Loop phase (1-based) at whose end it ran.
+  double primal = 0.0;     // Finalized total of the set's raw flow.
+  double bound = 0.0;      // The weak-duality bound of the lengths.
+  bool certified = false;  // primal * (1 + eps/10) >= bound.
+};
+
+// Certificate checks run at the end of phases 1, 2, 4, 8, ... — at most
+// about log2(phases) per solve.
+inline bool IsCertCheckPhase(int64_t phase) { return phase > 0 && (phase & (phase - 1)) == 0; }
+
+// Evaluates the early-stop certificate of a commodity set (ascending ids; a
+// whole component, except in split_contended ranges): its primal is the
+// set's current raw flow finalized exactly as FinalizeFptas finalizes a
+// component — for a whole component, what the solve will return — and its
+// bound is a weak-duality bound from the current lengths (DualBound below).
+// Owns the scratch buffers (allocated on first use); one instance per loop.
+class FptasCertifier {
+ public:
+  FptasCertifier(const FlatMcf& flat, const FptasWorkspace& ws, double epsilon);
+  FptasCertRecord Check(std::span<const int32_t> coms, int64_t phase, const double* length,
+                        const double* raw_flow);
+
+ private:
+  // Weak-duality upper bound on the max flow of the commodities `coms` alone
+  // (against the full capacities) under the real-link lengths `length`: with
+  // m_c the cheapest real-link path length of commodity c and d_c its demand,
+  //   UB = min_s [ sum_e cap_e * length_e / s + sum_capped d_c * max(0, 1 - m_c/s) ]
+  // over s <= min m_c of the uncapped commodities (dual y_e = length_e / s on
+  // the real links of their paths, y = max(0, 1 - m_c/s) on c's demand edge).
+  // The objective is convex piecewise linear in 1/s, so evaluating the
+  // breakpoints s = m_c, the cap s = min uncapped m_c, and (all capped) the
+  // limit sum d_c suffices.
+  double DualBound(std::span<const int32_t> coms, const double* length);
+
+  const FlatMcf& flat_;
+  const FptasWorkspace& ws_;
+  double tolerance_;
+  std::vector<double> flow_;
+  std::vector<double> raw_load_;
+  std::vector<double> load_;
+  std::vector<uint8_t> seen_;
 };
 
 struct FptasLoopStats {
@@ -124,6 +199,8 @@ struct FptasLoopStats {
   int64_t phases = 0;
   int64_t bound_skips = 0;
   int64_t commodities_retired = 0;
+  int64_t cert_checks = 0;      // Component certificate evaluations.
+  int64_t certified_stops = 0;  // Components stopped by a certificate.
 };
 
 // Optional controls for RunFptasPushLoop. Defaults reproduce the classic
@@ -149,13 +226,16 @@ struct FptasLoopControl {
   // never depend on its timing. nullptr disables.
   std::atomic<int64_t>* shared_pushes = nullptr;
   int64_t shared_max_pushes = 0;
+  // Test seam: every certificate evaluation is appended here. nullptr
+  // disables.
+  std::vector<FptasCertRecord>* cert_log = nullptr;
 };
 
 // Seeded multiplicative-weights state reconstructed from a previous solve's
 // finalized flows (see SeedFptasWarmState).
 struct FptasWarmState {
   std::vector<double> length;      // num_edges + 1 (sentinel pinned to 0.0).
-  std::vector<double> raw_flow;    // num_paths, pre-scale units.
+  std::vector<double> raw_flow;    // num_paths, raw push units.
   std::vector<double> cached_min;  // Per-commodity min path length at seed.
   double alpha_start = -1.0;
   int64_t seeded_commodities = 0;
@@ -164,7 +244,8 @@ struct FptasWarmState {
 
 // Builds the warm-start state for a solve of `instance`: per-path raw flow
 // re-scaled from the finalized seed (clamped per commodity to the CURRENT
-// demand), edge lengths reconstructed consistently from that raw flow
+// demand) to the congestion a full cold ladder reaches, edge lengths
+// reconstructed consistently from that raw flow
 // (length[e] = delta/cap[e] * exp(sum_i (raw_i/bneck_i) * ln(factor_i,e)) —
 // exactly the length a push sequence totalling raw would have produced,
 // demand edges included uniformly), per-commodity cached minima equal to the
@@ -183,14 +264,27 @@ FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& fl
 // (size flat.num_paths(); only the subset's paths are touched). delta and
 // max_pushes must come from the global flat (FptasDelta / MaxPushes).
 //
+// Certified early stop: at the end of phases 1, 2, 4, ... the loop checks,
+// per link-sharing component, the commodities of it that this loop pushes
+// for and that still have an active one; a certified set stops pushing. In
+// the unsharded and parity-sharded loops every such set is a whole
+// component, so the certificate bounds the component's finalized flow.
+// split_contended ranges cut components apart: a range then checks its own
+// slice against the full capacities, which certifies the slice's flow on
+// its own but nothing about the merged flow — the rule keeps split mode's
+// contract (deterministic, feasible after the merge normalization) and its
+// speed, not its quality.
+//
 // Determinism/parity contract: with `commodities` = all commodities this is
 // exactly SolveMcfFptas's loop. With a strict subset whose paths are
 // link-disjoint from the complement's, the loop's pushes are bit-identical
 // to the corresponding pushes of the full run (the only state coupling
-// between commodities is shared link lengths). max_pushes is counted per
-// call; the sharded solver detects a wedged run (summed group pushes >=
-// the global budget) after the join and redoes it as one serial loop, so
-// wedged results match the unsharded solver exactly (see DESIGN.md §9.7).
+// between commodities is shared link lengths, and a component's certificate
+// reads only its own state, so it stops at the same phase). max_pushes is
+// counted per call; the sharded solver detects a wedged run (summed group
+// pushes >= the global budget) after the join and redoes it as one serial
+// loop, so wedged results match the unsharded solver exactly (see DESIGN.md
+// §9.7).
 //
 // `control` may be null (cold loop, no shared budget); see FptasLoopControl.
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,32 +27,6 @@ double ProcessCpuSeconds() {
   }
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-// Union-find over flat edge ids with path halving; deterministic (no ranks —
-// the root is always the smallest-id edge merged first? No: union by
-// attaching b's root under a's root, so roots depend only on merge order,
-// which is the deterministic path scan order).
-struct UnionFind {
-  explicit UnionFind(size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int Find(int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  }
-  void Union(int a, int b) {
-    a = Find(a);
-    b = Find(b);
-    if (a != b) {
-      parent[static_cast<size_t>(b)] = a;
-    }
-  }
-  std::vector<int> parent;
-};
 
 struct Group {
   std::vector<int32_t> commodities;  // Ascending global ids.
@@ -82,6 +57,16 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
   }
 
   const size_t num_commodities = flat.commodity_paths.size();
+  // Shared constants and workspace: all derived from the GLOBAL flat
+  // instance, so every group walks the same delta / alpha ladder / factor
+  // tables / components the unsharded solver would.
+  const double delta = mcf_internal::FptasDelta(flat, epsilon);
+  const int64_t max_pushes = options.max_pushes_override > 0
+                                 ? options.max_pushes_override
+                                 : mcf_internal::MaxPushes(flat, epsilon, delta);
+  const FptasWorkspace ws(flat, epsilon);
+  st.num_components = static_cast<int>(ws.num_components);
+
   // Per-commodity work weight: its total path-link count (the push loop's
   // scan cost is linear in it).
   std::vector<int64_t> com_weight(num_commodities, 0);
@@ -90,9 +75,9 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
         static_cast<int64_t>(p.links.size());
   }
 
-  // Partition commodities into link-disjoint groups. Commodities never
-  // sharing an edge (directly or transitively) cannot influence each other's
-  // lengths, so their push loops commute — the parity seam.
+  // Pack the workspace's link-sharing components into groups. Commodities
+  // never sharing an edge (directly or transitively) cannot influence each
+  // other's lengths, so their push loops commute — the parity seam.
   std::vector<Group> groups;
   if (options.num_shards <= 1) {
     Group all;
@@ -103,72 +88,40 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
       }
     }
     groups.push_back(std::move(all));
-    st.num_components = 1;
   } else {
-    UnionFind uf(flat.num_edges());
-    for (const std::vector<int>& cpaths : flat.commodity_paths) {
-      if (cpaths.empty()) {
-        continue;
-      }
-      // Unify every edge of every path of the commodity with its first edge
-      // (a capped commodity's demand edge would do this implicitly; uncapped
-      // multi-path commodities need the cross-path union too).
-      const int anchor = flat.paths[static_cast<size_t>(cpaths[0])].links[0];
-      for (int pi : cpaths) {
-        for (int l : flat.paths[static_cast<size_t>(pi)].links) {
-          uf.Union(anchor, l);
-        }
+    const size_t num_components = ws.num_components;
+    std::vector<int64_t> comp_weight(num_components, 0);
+    for (size_t k = 0; k < num_components; ++k) {
+      for (int32_t c : ws.ComponentCommodities(k)) {
+        comp_weight[k] += com_weight[static_cast<size_t>(c)];
       }
     }
-    // Components in order of first appearance over ascending commodity ids.
-    std::vector<int> root_to_component(flat.num_edges(), -1);
-    struct Component {
-      std::vector<int32_t> commodities;
-      int64_t weight = 0;
-    };
-    std::vector<Component> components;
-    for (size_t c = 0; c < num_commodities; ++c) {
-      if (flat.commodity_paths[c].empty()) {
-        continue;
-      }
-      const int root =
-          uf.Find(flat.paths[static_cast<size_t>(flat.commodity_paths[c][0])].links[0]);
-      int& comp = root_to_component[static_cast<size_t>(root)];
-      if (comp < 0) {
-        comp = static_cast<int>(components.size());
-        components.emplace_back();
-      }
-      components[static_cast<size_t>(comp)].commodities.push_back(static_cast<int32_t>(c));
-      components[static_cast<size_t>(comp)].weight += com_weight[c];
-    }
-    st.num_components = static_cast<int>(components.size());
 
     // Deterministic packing: components by (weight desc, first commodity
-    // asc) onto the currently lightest group (ties -> lowest group index).
+    // asc — the component numbering order) onto the currently lightest
+    // group (ties -> lowest group index).
     const int num_groups =
-        std::max(1, std::min<int>(options.num_shards, static_cast<int>(components.size())));
+        std::max(1, std::min<int>(options.num_shards, static_cast<int>(num_components)));
     groups.resize(static_cast<size_t>(num_groups));
-    std::vector<int> order(components.size());
+    std::vector<size_t> order(num_components);
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const Component& ca = components[static_cast<size_t>(a)];
-      const Component& cb = components[static_cast<size_t>(b)];
-      if (ca.weight != cb.weight) {
-        return ca.weight > cb.weight;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (comp_weight[a] != comp_weight[b]) {
+        return comp_weight[a] > comp_weight[b];
       }
-      return ca.commodities[0] < cb.commodities[0];
+      return a < b;
     });
-    for (int ci : order) {
+    for (size_t k : order) {
       size_t lightest = 0;
       for (size_t g = 1; g < groups.size(); ++g) {
         if (groups[g].weight < groups[lightest].weight) {
           lightest = g;
         }
       }
-      Component& comp = components[static_cast<size_t>(ci)];
-      groups[lightest].commodities.insert(groups[lightest].commodities.end(),
-                                          comp.commodities.begin(), comp.commodities.end());
-      groups[lightest].weight += comp.weight;
+      const std::span<const int32_t> coms = ws.ComponentCommodities(k);
+      groups[lightest].commodities.insert(groups[lightest].commodities.end(), coms.begin(),
+                                          coms.end());
+      groups[lightest].weight += comp_weight[k];
     }
     // The push loop consults a group's commodities in list order; ascending
     // ids reproduce the unsharded solver's round-robin order within the
@@ -221,15 +174,6 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
     }
   }
   st.num_groups = static_cast<int>(groups.size());
-
-  // Shared constants and workspace: all derived from the GLOBAL flat
-  // instance, so every group walks the same delta / alpha ladder / factor
-  // tables the unsharded solver would.
-  const double delta = mcf_internal::FptasDelta(flat, epsilon);
-  const int64_t max_pushes = options.max_pushes_override > 0
-                                 ? options.max_pushes_override
-                                 : mcf_internal::MaxPushes(flat, epsilon, delta);
-  const FptasWorkspace ws(flat, epsilon);
 
   // Warm start: seed raw flow / lengths / cached minima / the alpha-ladder
   // entry ONCE from the global instance. Every group starts from a private
@@ -311,8 +255,12 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
     solve_group(0, groups.size());
   }
 
+  int64_t cert_checks = 0;
+  int64_t certified_stops = 0;
   for (const mcf_internal::FptasLoopStats& gs : group_stats) {
     st.pushes += gs.pushes;
+    cert_checks += gs.cert_checks;
+    certified_stops += gs.certified_stops;
   }
 
   // Wedge re-run: the per-group budget is counted per call, so a multi-group
@@ -341,21 +289,25 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
     const mcf_internal::FptasLoopStats rerun = mcf_internal::RunFptasPushLoop(
         flat, ws, epsilon, delta, max_pushes, all_commodities, length, raw_flow, &control);
     st.pushes = rerun.pushes;
+    cert_checks = rerun.cert_checks;
+    certified_stops = rerun.certified_stops;
   }
   const double t_merge = ProcessCpuSeconds();
   st.solve_seconds = t_merge - t_solve;
 
-  // The merge: one global finalize over the combined raw flow — rescale,
-  // normalize by the worst edge utilization (per-link proportional budget
+  // The merge: one finalize over the combined raw flow — normalize each
+  // component by its worst edge utilization (per-link proportional budget
   // split; order-independent), then the two greedy augmentation rounds in
-  // global path order (the bounded rebalance of under-used links).
-  mcf_internal::FinalizeFptas(flat, epsilon, delta, raw_flow, result);
+  // path order (the bounded rebalance of under-used links).
+  mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
   st.merge_seconds = ProcessCpuSeconds() - t_merge;
 
   BDS_TELEMETRY_COUNT("fptas.sharded.solves", 1);
   BDS_TELEMETRY_COUNT("fptas.sharded.pushes", st.pushes);
   BDS_TELEMETRY_COUNT("fptas.sharded.groups", st.num_groups);
   BDS_TELEMETRY_COUNT("fptas.sharded.components", st.num_components);
+  BDS_TELEMETRY_COUNT("fptas.cert_checks", cert_checks);
+  BDS_TELEMETRY_COUNT("fptas.certified_stops", certified_stops);
   if (st.wedge_rerun) {
     BDS_TELEMETRY_COUNT("fptas.sharded.wedge_reruns", 1);
   }

@@ -7,9 +7,10 @@
 // exploits exactly that seam:
 //
 //  1. Flatten the instance ONCE (global FlatMcf) — every derived constant
-//     (delta, the alpha phase ladder, the push budget, the finalize scale)
-//     is the global instance's, shared by every shard.
-//  2. Union-find link-sharing components over the flattened paths; a
+//     (delta, the alpha phase ladder, the push budget) is the global
+//     instance's, shared by every shard.
+//  2. Take the link-sharing components from the shared FptasWorkspace (the
+//     same union-find the unsharded loop uses for its certified stops); a
 //     commodity's paths (and its demand edge) always land in one component.
 //  3. Deterministically pack components into at most `num_shards` groups
 //     (largest-weight-first onto the lightest group, ties by lowest group),
@@ -17,15 +18,17 @@
 //  4. Run mcf_internal::RunFptasPushLoop per group on the ParallelRunner,
 //     each group against its own private copy of the length vector, all
 //     groups accumulating into one position-addressed raw-flow array.
-//  5. Merge with one global FinalizeFptas: rescale + normalize the combined
-//     raw flow by the worst edge utilization (the per-link budget split —
+//  5. Merge with one FinalizeFptas: normalize each component of the combined
+//     raw flow by its worst edge utilization (the per-link budget split —
 //     proportional, hence order-independent) and run the two bounded greedy
-//     augmentation rounds in global path order (the rebalance of under-used
+//     augmentation rounds in path order (the rebalance of under-used
 //     links).
 //
 // Because groups are link-disjoint, step 4's pushes are bit-identical to the
-// unsharded loop's (RunFptasPushLoop's parity contract) and step 5 consumes
-// a bitwise-equal raw-flow array — so the returned result equals
+// unsharded loop's (RunFptasPushLoop's parity contract: a component's
+// certificate reads only its own state, so it stops at the same phase in
+// any group) and step 5 consumes a bitwise-equal raw-flow array — so the
+// returned result equals
 // SolveMcfFptas's bit for bit, for ANY shard count and thread count. The one
 // documented exception: the per-group push budget is counted per group, so a
 // run wedged against MaxPushes (never observed outside adversarial inputs)
@@ -36,9 +39,11 @@
 // solve is effectively unsharded. Options::split_contended trades the parity
 // guarantee for parallelism there: oversized groups are split into
 // contiguous commodity ranges that each run against the full budget, and the
-// merge normalization enforces feasibility of the combined flow. Still fully
-// deterministic — just no longer bitwise-equal to the unsharded path — and
-// off by default.
+// merge normalization enforces feasibility of the combined flow. Each range
+// certifies its own slice against the full capacities, which proves nothing
+// about the merged flow but keeps the ranges from running the whole ladder.
+// Still fully deterministic — just no longer bitwise-equal to the unsharded
+// path — and off by default.
 
 #ifndef BDS_SRC_LP_MCF_SHARD_H_
 #define BDS_SRC_LP_MCF_SHARD_H_

@@ -15,6 +15,8 @@
 //    the hoisted structured kind;
 //  * free-form commodities (short paths, differing endpoints, mixed
 //    lengths) — the generic kind;
+//  * byte-scale controller-shaped commodities sharing their end links, some
+//    with a middle link on two paths (barred from the fast kinds);
 // plus capped and uncapped demands, zero-capacity (dead) links, and
 // single-link paths.
 
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -154,6 +157,77 @@ TEST(McfFptasParityTest, VariedEpsilonsMatchReferenceBitForBit) {
       }
     }
   }
+}
+
+// The controller's own shape at its byte-scale capacities: commodities
+// between a few source and destination servers share their uplinks and
+// downlinks and run ~100 pushes per phase-1 visit, which the fast kinds
+// take on register-held lengths. Some 3-path commodities route two paths
+// over one middle link; such a commodity may not take a fast kind and must
+// still match through the structured scan.
+McfInstance SharedEndpointByteScaleInstance(uint64_t seed, int* aliased) {
+  Rng rng(seed);
+  McfInstance inst;
+  auto add_link = [&](double lo, double hi) {
+    inst.capacities.push_back(rng.Uniform(lo, hi));
+    return static_cast<int>(inst.capacities.size()) - 1;
+  };
+  std::vector<int> up, down, wan;
+  for (int i = 0; i < 4; ++i) {
+    up.push_back(add_link(1e7, 4e7));
+    down.push_back(add_link(1e7, 4e7));
+  }
+  for (int i = 0; i < 8; ++i) {
+    wan.push_back(add_link(1e8, 2e9));
+  }
+  const int ncom = static_cast<int>(rng.UniformInt(8, 24));
+  for (int c = 0; c < ncom; ++c) {
+    McfCommodity com;
+    const int u = up[static_cast<size_t>(rng.UniformInt(0, 3))];
+    const int d = down[static_cast<size_t>(rng.UniformInt(0, 3))];
+    const int npaths = rng.Bernoulli(0.25) ? 1 : 3;
+    const bool alias = npaths == 3 && rng.Bernoulli(0.2);
+    *aliased += alias ? 1 : 0;
+    for (int p = 0; p < npaths; ++p) {
+      McfPath path;
+      path.links.push_back(u);
+      if (alias && p > 0) {
+        path.links.push_back(wan[0]);
+      } else {
+        const int mids = static_cast<int>(rng.UniformInt(0, 2));
+        auto picks = rng.SampleWithoutReplacement(static_cast<int64_t>(wan.size()), mids);
+        for (int64_t m : picks) {
+          path.links.push_back(wan[static_cast<size_t>(m)]);
+        }
+      }
+      path.links.push_back(d);
+      com.paths.push_back(std::move(path));
+    }
+    if (rng.Bernoulli(0.9)) {
+      com.demand = rng.Uniform(2e5, 5e6);
+    }
+    inst.commodities.push_back(std::move(com));
+  }
+  return inst;
+}
+
+TEST(McfFptasParityTest, SharedEndpointsAtByteScaleMatchReferenceBitForBit) {
+  int aliased = 0;
+  for (uint64_t seed = 300; seed < 330; ++seed) {
+    McfInstance inst = SharedEndpointByteScaleInstance(seed, &aliased);
+    McfResult fast = SolveMcfFptas(inst, 0.1);
+    McfResult ref = SolveMcfFptasReference(inst, 0.1);
+    ASSERT_EQ(fast.ok, ref.ok) << "seed " << seed;
+    for (size_t c = 0; c < ref.flow.size(); ++c) {
+      for (size_t p = 0; p < ref.flow[c].size(); ++p) {
+        ASSERT_EQ(Bits(fast.flow[c][p]), Bits(ref.flow[c][p]))
+            << "seed " << seed << " commodity " << c << " path " << p;
+      }
+    }
+    ASSERT_EQ(Bits(fast.total_flow), Bits(ref.total_flow)) << "seed " << seed;
+    EXPECT_LE(MaxCapacityViolation(inst, fast), 1e-6 * 4e7) << "seed " << seed;
+  }
+  EXPECT_GT(aliased, 0);
 }
 
 TEST(McfFptasParityTest, FlowsStayFeasible) {

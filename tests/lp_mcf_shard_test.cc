@@ -17,10 +17,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/lp/mcf.h"
+#include "src/lp/mcf_internal.h"
+#include "tests/lp_mcf_cert_log.h"
 
 namespace bds {
 namespace {
@@ -108,11 +111,9 @@ McfInstance RandomInstance(uint64_t seed) {
   return inst;
 }
 
-// One giant component: every commodity's paths cross a shared backbone link,
-// so link-disjoint decomposition cannot split anything.
-McfInstance ContendedInstance(uint64_t seed, int ncom) {
-  Rng rng(seed);
-  McfInstance inst;
+// Appends one link-sharing component: every commodity's paths cross a
+// fresh shared backbone link.
+void AddContendedComponent(Rng& rng, McfInstance& inst, int ncom) {
   const int backbone = static_cast<int>(inst.capacities.size());
   inst.capacities.push_back(rng.Uniform(50.0, 100.0));
   for (int c = 0; c < ncom; ++c) {
@@ -129,7 +130,27 @@ McfInstance ContendedInstance(uint64_t seed, int ncom) {
     com.demand = rng.Uniform(0.5, 10.0);
     inst.commodities.push_back(com);
   }
+}
+
+// One giant component, so link-disjoint decomposition cannot split anything.
+McfInstance ContendedInstance(uint64_t seed, int ncom) {
+  Rng rng(seed);
+  McfInstance inst;
+  AddContendedComponent(rng, inst, ncom);
   return inst;
+}
+
+// Phase at which each link-sharing component's certificate first held in
+// the unsharded loop (0: never).
+std::vector<int64_t> CertifiedPhases(const McfInstance& inst, double eps) {
+  const CertificateRun run = RunCertificateLog(inst, eps);
+  std::vector<int64_t> phases(run.components.size(), 0);
+  for (const mcf_internal::FptasCertRecord& rec : run.log) {
+    if (rec.certified) {
+      phases[static_cast<size_t>(rec.component)] = rec.phase;
+    }
+  }
+  return phases;
 }
 
 void ExpectBitwiseEqual(const McfResult& a, const McfResult& b, const char* what,
@@ -234,6 +255,39 @@ TEST(McfShardTest, SplitContendedStaysFeasibleAndDeterministic) {
     McfResult unsharded = SolveMcfFptas(inst, 0.1);
     EXPECT_GE(split.total_flow, 0.5 * unsharded.total_flow) << "seed " << seed;
   }
+}
+
+// Two contended components whose certificates hold at different phases:
+// each group must stop its component at the phase the unsharded loop does,
+// so the results stay bitwise equal across shard and thread counts.
+TEST(McfShardTest, ComponentsCertifyingAtDifferentPhasesKeepParity) {
+  int found = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    McfInstance inst;
+    AddContendedComponent(rng, inst, static_cast<int>(rng.UniformInt(2, 6)));
+    AddContendedComponent(rng, inst, static_cast<int>(rng.UniformInt(2, 6)));
+    const std::vector<int64_t> phases = CertifiedPhases(inst, 0.1);
+    ASSERT_EQ(phases.size(), 2u);
+    if (phases[0] == 0 || phases[1] == 0 || phases[0] == phases[1]) {
+      continue;
+    }
+    ++found;
+    McfResult unsharded = SolveMcfFptas(inst, 0.1);
+    ExpectBitwiseEqual(SolveMcfFptasReference(inst, 0.1), unsharded, "reference", seed, 1);
+    for (int shards : {1, 2, 8}) {
+      for (int threads : {1, 4}) {
+        ParallelRunner pool(threads);
+        McfShardOptions opt;
+        opt.num_shards = shards;
+        McfShardStats stats;
+        McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, &pool, &stats);
+        ExpectBitwiseEqual(sharded, unsharded, "split-phase certificates", seed, shards);
+        EXPECT_EQ(stats.num_components, 2);
+      }
+    }
+  }
+  EXPECT_GE(found, 3);
 }
 
 TEST(McfShardTest, EmptyAndDegenerateInstances) {

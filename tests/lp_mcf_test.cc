@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "src/common/rng.h"
+#include "src/lp/mcf_internal.h"
+#include "tests/lp_mcf_cert_log.h"
 
 namespace bds {
 namespace {
@@ -134,22 +140,25 @@ TEST(McfFptasTest, CommodityWithNoPaths) {
   EXPECT_GT(r.total_flow, 0.0);
 }
 
-// Property sweep: random instances — the FPTAS must be feasible and within
-// (1 - 3*eps) of the simplex optimum.
-class McfRandomComparisonTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(McfRandomComparisonTest, FptasNearOptimalAndFeasible) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
+// Random instance for the property sweep. Unit-scale capacities (1-20) or,
+// with `byte_scale`, log-uniform byte rates of 1e6-1e9 like the controller's:
+// there the first alpha threshold starts far above the shortest path, so
+// only the certificate backs the (1 - eps) contract.
+McfInstance RandomComparisonInstance(uint64_t seed, bool byte_scale) {
+  Rng rng(seed);
+  auto draw = [&](double lo, double hi) {
+    return byte_scale ? std::exp(rng.Uniform(std::log(lo), std::log(hi))) : rng.Uniform(lo, hi);
+  };
   McfInstance inst;
   int num_links = static_cast<int>(rng.UniformInt(2, 10));
   for (int l = 0; l < num_links; ++l) {
-    inst.capacities.push_back(rng.Uniform(1.0, 20.0));
+    inst.capacities.push_back(byte_scale ? draw(1e6, 1e9) : draw(1.0, 20.0));
   }
   int num_commodities = static_cast<int>(rng.UniformInt(1, 5));
   for (int c = 0; c < num_commodities; ++c) {
     McfCommodity com;
     if (rng.Bernoulli(0.5)) {
-      com.demand = rng.Uniform(0.5, 15.0);
+      com.demand = byte_scale ? draw(5e5, 7.5e8) : draw(0.5, 15.0);
     }
     int num_paths = static_cast<int>(rng.UniformInt(1, 4));
     for (int p = 0; p < num_paths; ++p) {
@@ -163,16 +172,60 @@ TEST_P(McfRandomComparisonTest, FptasNearOptimalAndFeasible) {
     }
     inst.commodities.push_back(std::move(com));
   }
+  return inst;
+}
 
+// `inst` restricted to the commodities `keep` (the others lose their paths).
+McfInstance Restrict(const McfInstance& inst, const std::vector<int>& keep) {
+  McfInstance sub = inst;
+  for (int c = 0; c < sub.num_commodities(); ++c) {
+    if (std::find(keep.begin(), keep.end(), c) == keep.end()) {
+      sub.commodities[static_cast<size_t>(c)].paths.clear();
+    }
+  }
+  return sub;
+}
+
+// Property sweep: random instances at unit and byte scale — the FPTAS must
+// be feasible and within (1 - 3*eps) of the simplex optimum; every dual
+// bound the early-stop certificate computes must be at least its
+// component's optimum; and when every component stopped on a certificate
+// the total must be within 1/(1 + eps/10) of the optimum.
+class McfRandomComparisonTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(McfRandomComparisonTest, FptasNearOptimalAndFeasible) {
   const double eps = 0.05;
-  McfResult exact = SolveMcfSimplex(inst);
-  ASSERT_TRUE(exact.ok);
-  McfResult approx = SolveMcfFptas(inst, eps);
-  ASSERT_TRUE(approx.ok);
+  for (bool byte_scale : {false, true}) {
+    SCOPED_TRACE(byte_scale ? "byte scale" : "unit scale");
+    McfInstance inst =
+        RandomComparisonInstance(static_cast<uint64_t>(GetParam()) * 7919 + 13, byte_scale);
+    McfResult exact = SolveMcfSimplex(inst);
+    ASSERT_TRUE(exact.ok);
+    McfResult approx = SolveMcfFptas(inst, eps);
+    ASSERT_TRUE(approx.ok);
 
-  EXPECT_LE(MaxCapacityViolation(inst, approx), 1e-6);
-  EXPECT_LE(approx.total_flow, exact.total_flow * (1.0 + 1e-6));
-  EXPECT_GE(approx.total_flow, exact.total_flow * (1.0 - 3.0 * eps) - 1e-9);
+    const double tol = byte_scale ? 1e-9 * exact.total_flow : 1e-9;
+    EXPECT_LE(MaxCapacityViolation(inst, approx), 1e-6);
+    EXPECT_LE(approx.total_flow, exact.total_flow * (1.0 + 1e-6));
+    EXPECT_GE(approx.total_flow, exact.total_flow * (1.0 - 3.0 * eps) - tol);
+
+    const CertificateRun run = RunCertificateLog(inst, eps);
+    std::vector<uint8_t> certified(run.components.size(), 0);
+    for (const mcf_internal::FptasCertRecord& rec : run.log) {
+      McfResult part =
+          SolveMcfSimplex(Restrict(inst, run.components[static_cast<size_t>(rec.component)]));
+      ASSERT_TRUE(part.ok);
+      const double part_tol = 1e-9 * std::max(1.0, part.total_flow);
+      EXPECT_GE(rec.bound, part.total_flow - part_tol)
+          << "component " << rec.component << " phase " << rec.phase;
+      EXPECT_LE(rec.primal, part.total_flow + part_tol)
+          << "component " << rec.component << " phase " << rec.phase;
+      certified[static_cast<size_t>(rec.component)] |= rec.certified ? 1 : 0;
+    }
+    if (std::all_of(certified.begin(), certified.end(), [](uint8_t v) { return v != 0; })) {
+      EXPECT_GE(approx.total_flow, exact.total_flow / (1.0 + eps / 10.0) - tol);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, McfRandomComparisonTest, ::testing::Range(0, 40));
