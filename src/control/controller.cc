@@ -166,11 +166,12 @@ BdsController::BdsController(const Topology* topo, const WanRoutingTable* routin
 
 Status BdsController::SubmitJob(const MulticastJob& job) {
   BDS_RETURN_IF_ERROR(job.Validate(topo_->num_dcs()));
-  arriving_jobs_.push_back(job);
-  std::sort(arriving_jobs_.begin() + static_cast<long>(next_arrival_), arriving_jobs_.end(),
-            [](const MulticastJob& a, const MulticastJob& b) {
-              return a.arrival_time < b.arrival_time;
-            });
+  // upper_bound keeps equal arrival times in submission order.
+  auto pos = std::upper_bound(
+      arriving_jobs_.begin() + static_cast<long>(next_arrival_), arriving_jobs_.end(),
+      job.arrival_time,
+      [](SimTime t, const MulticastJob& queued) { return t < queued.arrival_time; });
+  arriving_jobs_.insert(pos, job);
   ++jobs_submitted_;
   return Status::Ok();
 }

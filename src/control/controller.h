@@ -174,7 +174,8 @@ class BdsController {
   BdsController(const Topology* topo, const WanRoutingTable* routing, ControllerOptions options);
 
   // Jobs may arrive at any simulated time (trace replay); arrival_time in
-  // the past means "now".
+  // the past means "now". Jobs are admitted in arrival_time order, equal
+  // times in submission order.
   Status SubmitJob(const MulticastJob& job);
 
   // --- Failure script (applied as simulated time passes). ---

@@ -41,7 +41,6 @@
 #include <span>
 #include <vector>
 
-#include "src/common/huge_alloc.h"
 #include "src/lp/mcf.h"
 
 namespace bds {
@@ -89,9 +88,6 @@ McfResult MakeEmptyFptasResult(const McfInstance& instance);
 // padded fast rows) and the instance's link-sharing components. Pure
 // function of (flat, epsilon); read-only during the loop, so one workspace
 // serves any number of concurrent per-shard loops.
-// The CSR buffers are HugeVectors: at the fleet scale the push loop streams
-// them every phase, and transparent hugepages cut the TLB pressure; on
-// kernels without anon THP the allocator falls back silently.
 struct FptasWorkspace {
   FptasWorkspace(const FlatMcf& flat, double epsilon);
 
@@ -99,24 +95,24 @@ struct FptasWorkspace {
   size_t num_paths = 0;
   size_t num_commodities = 0;
   // CSR: path i's links at path_links[path_off[i] .. path_off[i+1]).
-  HugeVector<int32_t> path_off;
-  HugeVector<int32_t> path_links;
-  HugeVector<double> path_factor;  // Per-link length multiplier of a push.
-  HugeVector<double> path_bneck;   // Static bottleneck capacity per path.
+  std::vector<int32_t> path_off;
+  std::vector<int32_t> path_links;
+  std::vector<double> path_factor;  // Per-link length multiplier of a push.
+  std::vector<double> path_bneck;   // Static bottleneck capacity per path.
   // CSR: commodity c's path ids at cp_ids[cp_off[c] .. cp_off[c+1]).
-  HugeVector<int32_t> cp_off;
-  HugeVector<int32_t> cp_ids;
+  std::vector<int32_t> cp_off;
+  std::vector<int32_t> cp_ids;
   // Structured-shape tables (shared first/penultimate/last links; see
   // SolveMcfFptas's commentary).
-  HugeVector<int32_t> com_first;
-  HugeVector<int32_t> com_penult;
-  HugeVector<int32_t> com_last;
-  HugeVector<uint8_t> com_kind;  // kGeneric/kStructured/kFast3/kFast1.
-  HugeVector<int32_t> mid_off;
-  HugeVector<int32_t> mid_links;
-  HugeVector<int32_t> fm_base;
-  HugeVector<int32_t> fast_mids;
-  HugeVector<double> push5_fac;
+  std::vector<int32_t> com_first;
+  std::vector<int32_t> com_penult;
+  std::vector<int32_t> com_last;
+  std::vector<uint8_t> com_kind;  // kGeneric/kStructured/kFast3/kFast1.
+  std::vector<int32_t> mid_off;
+  std::vector<int32_t> mid_links;
+  std::vector<int32_t> fm_base;
+  std::vector<int32_t> fast_mids;
+  std::vector<double> push5_fac;
 
   // Link-sharing components: commodities whose paths share an edge,
   // directly or transitively (a commodity's demand edge and all its paths

@@ -32,7 +32,37 @@ double ProcessCpuSeconds() {
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
+// Packed candidate key layout, most significant field first: job position
+// (24 bits), block (34 bits), destination-DC position (6 bits).
+constexpr int kKeyJobBits = 24;
+constexpr int kKeyJobShift = 40;
+constexpr int kKeyBlockShift = 6;
+constexpr uint64_t kKeyBlockMask = (uint64_t{1} << 34) - 1;
+static_assert(kKeyJobShift + kKeyJobBits == 64);
+static_assert(static_cast<uint64_t>(kMaxJobBlocks) == kKeyBlockMask,
+              "MulticastJob::Validate must reject every block index the key cannot hold");
+
+// (job, block) hash key shared by the salts and the pop loop's
+// speculative-duplicate map.
+uint64_t BlockKey(JobId job, int64_t block) {
+  return static_cast<uint64_t>(job) * 0x1000003 + static_cast<uint64_t>(block);
+}
+
 }  // namespace
+
+uint64_t PackCandidateKey(size_t jp, int64_t block, size_t dp) {
+  return (static_cast<uint64_t>(jp) << kKeyJobShift) |
+         (static_cast<uint64_t>(block) << kKeyBlockShift) | static_cast<uint64_t>(dp);
+}
+
+uint64_t CandidateSalt(JobId job, int64_t block, DcId dc) {
+  uint64_t h = BlockKey(job, block) * 0x9E3779B97F4A7C15ULL +
+               static_cast<uint64_t>(dc) * 0xC2B2AE3D27D4EB4FULL;
+  h ^= h >> 29;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 32;
+  return h;
+}
 
 ControllerAlgorithm::ControllerAlgorithm(const Topology* topo, const WanRoutingTable* routing,
                                          ControllerAlgorithmOptions options)
@@ -47,6 +77,172 @@ ControllerAlgorithm::ControllerAlgorithm(const Topology* topo, const WanRoutingT
   BDS_CHECK(options_.budget_fraction > 0.0 && options_.budget_fraction <= 1.0);
   BDS_CHECK(options_.num_threads >= 1);
   BDS_CHECK(options_.num_shards >= 1);
+}
+
+void ControllerAlgorithm::BuildCandidates(int64_t cycle, const ReplicaState& state,
+                                          const std::vector<const MulticastJob*>& jobs_by_pos,
+                                          CycleDecision& decision) {
+  // A candidate is 24 bytes: no PendingDelivery vector is materialized at
+  // all. The packed key strictly increases in ForEachOwed order, so ordering
+  // by (eff_dup, salt, key) has no ties, and the popped delivery's remaining
+  // fields (dest server, duplicate count) are recomputed on demand for the
+  // few thousand candidates that actually get popped, instead of for the
+  // possible millions that never leave the queue. kSequential's salt is the
+  // key itself: packed coordinates sort exactly like pending indices.
+  //
+  // The build touches every pending delivery (up to 10^7 at the fleet
+  // scale), so it is incremental: the previous cycle's slot array is patched
+  // — clean (job, 64-block chunk) units are copied with their packed job
+  // position adjusted, and only units ReplicaState stamped dirty since the
+  // last build are re-priced and re-filled. Amortized cost is O(churn), not
+  // O(pending) (DESIGN.md §9.7). The cache may only be patched forward when
+  // it describes the previous cycle of this exact ReplicaState object under
+  // the same policy; any mismatch (fresh state copy, skipped cycle, explicit
+  // invalidation) makes every unit dirty, which is the cold build.
+  const SchedulingPolicy policy = options_.policy;
+  CandidateCache& cache = cand_cache_;
+  const bool warm = cache.valid && cache.state_uid == state.state_uid() &&
+                    cache.policy == policy && cycle == cache.last_cycle + 1;
+  constexpr int64_t kUnitBlocks = ReplicaState::kDirtyChunkBlocks;
+  // New unit list: one unit per (job, chunk), in ForEachOwed order.
+  std::vector<CandidateUnit> units;
+  {
+    size_t total_units = 0;
+    for (const MulticastJob* job : jobs_by_pos) {
+      total_units += static_cast<size_t>((job->num_blocks() + kUnitBlocks - 1) / kUnitBlocks);
+    }
+    units.reserve(total_units);
+  }
+  for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
+    const MulticastJob* job = jobs_by_pos[jp];
+    const int64_t nblocks = job->num_blocks();
+    for (int64_t b0 = 0; b0 < nblocks; b0 += kUnitBlocks) {
+      CandidateUnit u;
+      u.job = job->id;
+      u.b0 = b0;
+      u.jp = static_cast<uint32_t>(jp);
+      units.push_back(u);
+    }
+  }
+  // Old-unit lookup: a job's units are contiguous and chunk-aligned in both
+  // lists, so old unit = (job's first old unit) + chunk index. Job
+  // retirement only shifts positions — the fill pass patches the packed jp
+  // bit field of reused slots directly.
+  std::vector<int64_t> old_first(jobs_by_pos.size(), -1);
+  if (warm) {
+    std::unordered_map<JobId, int64_t> first_by_job;
+    first_by_job.reserve(jobs_by_pos.size() * 2);
+    for (size_t u = 0; u < cache.units.size(); ++u) {
+      if (u == 0 || cache.units[u].job != cache.units[u - 1].job) {
+        first_by_job.emplace(cache.units[u].job, static_cast<int64_t>(u));
+      }
+    }
+    for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
+      auto it = first_by_job.find(jobs_by_pos[jp]->id);
+      if (it != first_by_job.end()) {
+        old_first[jp] = it->second;
+      }
+    }
+  }
+  // Classify + price pass: clean units keep their cached count; dirty units
+  // are re-priced with one popcount per block.
+  const uint64_t seen = cache.seen_epoch;
+  std::vector<int64_t> unit_count(units.size(), 0);
+  std::vector<int64_t> unit_old(units.size(), -1);  // Old unit idx if clean.
+  pool_.For(units.size(), [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      const CandidateUnit& cu = units[u];
+      const int64_t chunk = cu.b0 / kUnitBlocks;
+      if (warm && old_first[cu.jp] >= 0) {
+        const size_t oi = static_cast<size_t>(old_first[cu.jp] + chunk);
+        if (oi < cache.units.size() && cache.units[oi].job == cu.job &&
+            cache.units[oi].b0 == cu.b0 && state.ChunkVersion(cu.jp, chunk) <= seen) {
+          unit_count[u] = cache.units[oi].count;
+          unit_old[u] = static_cast<int64_t>(oi);
+          continue;
+        }
+      }
+      unit_count[u] = state.CountOwedInRange(cu.jp, cu.b0, cu.b0 + kUnitBlocks);
+    }
+  });
+  int64_t units_reused = 0, slots_reused = 0;
+  uint64_t total = 0;
+  for (size_t u = 0; u < units.size(); ++u) {
+    units[u].offset = total;
+    units[u].count = static_cast<uint32_t>(unit_count[u]);
+    total += static_cast<uint64_t>(unit_count[u]);
+    if (unit_old[u] >= 0) {
+      ++units_reused;
+      slots_reused += unit_count[u];
+    }
+  }
+  BDS_CHECK(total == static_cast<uint64_t>(state.num_pending()));
+  // Fill pass into the double buffer: clean units are copied from the old
+  // array with the packed jp field patched (kSequential's salt IS the key,
+  // so it is re-derived); dirty units stream ForEachOwedInRange with fused
+  // salts.
+  CandVec& out = cache.scratch;
+  out.resize(static_cast<size_t>(total));
+  pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      const CandidateUnit& cu = units[u];
+      if (unit_old[u] >= 0) {
+        const CandidateUnit& old = cache.units[static_cast<size_t>(unit_old[u])];
+        const Candidate* src = cache.slots.data() + old.offset;
+        Candidate* dst = out.data() + cu.offset;
+        std::copy(src, src + cu.count, dst);
+        if (old.jp != cu.jp) {
+          // Two's-complement delta: the jp field occupies the top bits and
+          // the low bits are unchanged, so adding the (possibly negative)
+          // difference shifted into place never borrows across.
+          const uint64_t jp_delta = (static_cast<uint64_t>(cu.jp) - static_cast<uint64_t>(old.jp))
+                                    << kKeyJobShift;
+          for (uint32_t i = 0; i < cu.count; ++i) {
+            dst[i].key += jp_delta;
+            if (policy == SchedulingPolicy::kSequential) {
+              dst[i].salt = dst[i].key;
+            }
+          }
+        }
+      } else {
+        size_t w = static_cast<size_t>(cu.offset);
+        state.ForEachOwedInRange(
+            cu.jp, cu.b0, cu.b0 + kUnitBlocks,
+            [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
+              const uint64_t key = PackCandidateKey(jp, block, dp);
+              out[w++] = Candidate{
+                  policy == SchedulingPolicy::kRarestFirst ? dups : 0,
+                  policy == SchedulingPolicy::kSequential ? key : CandidateSalt(job.id, block, dc),
+                  key};
+            });
+        BDS_CHECK(w == static_cast<size_t>(cu.offset) + cu.count);
+      }
+    }
+  });
+  std::swap(cache.slots, cache.scratch);
+  cache.units = std::move(units);
+  cache.valid = true;
+  cache.state_uid = state.state_uid();
+  cache.seen_epoch = state.dirty_epoch();
+  cache.last_cycle = cycle;
+  cache.policy = policy;
+  // The selection loop permutes its array, so it works on a copy and the
+  // cache keeps the pristine slots for the next cycle's patch pass.
+  CandVec& work = cand_work_;
+  work.resize(static_cast<size_t>(total));
+  pool_.For(work.size(), [&](size_t begin, size_t end) {
+    std::copy(cache.slots.begin() + static_cast<ptrdiff_t>(begin),
+              cache.slots.begin() + static_cast<ptrdiff_t>(end),
+              work.begin() + static_cast<ptrdiff_t>(begin));
+  });
+  decision.cand_units_reused = units_reused;
+  decision.cand_units_repriced = static_cast<int64_t>(cache.units.size()) - units_reused;
+  decision.cand_slots_reused = slots_reused;
+  decision.cand_slots_repriced = static_cast<int64_t>(total) - slots_reused;
+  BDS_TELEMETRY_COUNT("scheduler.cand_units_reused", decision.cand_units_reused);
+  BDS_TELEMETRY_COUNT("scheduler.cand_units_repriced", decision.cand_units_repriced);
+  BDS_TELEMETRY_COUNT("scheduler.cand_slots_reused", decision.cand_slots_reused);
+  BDS_TELEMETRY_COUNT("scheduler.cand_slots_repriced", decision.cand_slots_repriced);
 }
 
 std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
@@ -117,23 +313,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   // spreads distinct blocks across destinations first and replicates the
   // same block to all m destinations only when budget remains. The extra
   // copies materialize next cycle as new overlay sources.
-  // A candidate is 24 bytes: no PendingDelivery vector is materialized at
-  // all. `key` packs the delivery's coordinates (job position, block,
-  // dest-DC position) into bit fields that strictly increase in
-  // PendingDeliveries() order, so ordering by (eff_dup, salt, key) compares
-  // every pair exactly as the pre-optimization (eff_dup, salt,
-  // pending_index) order did — same pop sequence, same decision — while the
-  // popped delivery's remaining fields (dest server, duplicate count) are
-  // recomputed on demand for the few thousand candidates that actually get
-  // popped, instead of for the possible millions that never leave the queue.
-  // (The Candidate struct itself lives in the header so the cross-cycle
-  // cache can store slot arrays of it.)
-  constexpr uint64_t kBlockMask = (uint64_t{1} << 42) - 1;
-  auto pack_key = [](size_t jp, int64_t block, size_t dp) {
-    return (static_cast<uint64_t>(jp) << 48) | (static_cast<uint64_t>(block) << 6) |
-           static_cast<uint64_t>(dp);
-  };
-  BDS_CHECK_MSG(state.job_ids().size() < (size_t{1} << 16),
+  BDS_CHECK_MSG(state.job_ids().size() <= (size_t{1} << kKeyJobBits),
                 "ScheduleBlocks: too many concurrent jobs for packed keys");
   // One hash lookup per job here buys O(1) per-pop access below: the pop
   // loop reads duplicate counts and holder lists for hundreds of thousands
@@ -145,288 +325,14 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   for (size_t jp = 0; jp < state.job_ids().size(); ++jp) {
     cursors.push_back(state.CursorAt(jp));
     const MulticastJob* job = &cursors.back().job();
-    BDS_CHECK_MSG(job->num_blocks() <= static_cast<int64_t>(kBlockMask),
+    BDS_CHECK_MSG(job->num_blocks() <= kMaxJobBlocks,
                   "ScheduleBlocks: job too large for packed keys");
     jobs_by_pos.push_back(job);  // dest_dcs fit 6 bits: at most 64 DCs total.
   }
   const bool any_failed = state.AnyServerFailed();
   std::unordered_map<uint64_t, int> extra_dups;  // (job, block) -> copies scheduled now.
-  auto block_key = [](JobId job, int64_t block) {
-    return static_cast<uint64_t>(job) * 0x1000003 + static_cast<uint64_t>(block);
-  };
-  // The tie-break salt spreads equally-rare candidates across destination
-  // DCs and blocks; ordering by pending position instead would aim every
-  // first copy at the lowest-numbered DC and leave the others' downlinks
-  // idle for the whole cycle.
-  auto candidate_salt = [&](JobId job, int64_t block, DcId dc) {
-    uint64_t h = block_key(job, block) * 0x9E3779B97F4A7C15ULL +
-                 static_cast<uint64_t>(dc) * 0xC2B2AE3D27D4EB4FULL;
-    h ^= h >> 29;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 32;
-    return h;
-  };
-  const SchedulingPolicy policy = options_.policy;
   const int num_shards = options_.num_shards;
-  // The candidate build touches every pending delivery (up to 10^7 at the
-  // fleet scale). Three builders, byte-identical output:
-  //  * Incremental (the default): the previous cycle's slot array is patched
-  //    — clean (job, 64-block chunk) units are memcpy'd with their packed
-  //    job position adjusted, and only units ReplicaState stamped dirty
-  //    since the last build are re-priced and re-filled. Amortized cost is
-  //    O(churn), not O(pending) (DESIGN.md §9.7).
-  //  * Unsharded from-scratch: one streaming pass emits packed keys and
-  //    duplicate counts in discovery order; the salt hashes — the
-  //    arithmetic bulk — are either fused into the same pass (serial) or
-  //    filled in by the pool over pre-sized slots (thread-count-invariant).
-  //    kSequential's salt is the key itself: packed coordinates sort exactly
-  //    like pending indices.
-  //  * Sharded from-scratch (num_shards > 1): (job, block-chunk) units are
-  //    priced with CountOwedInRange (one popcount per block, in parallel),
-  //    prefix-summed into exact slots of the global array, and filled in
-  //    parallel with ForEachOwedInRange + fused salts. Slots reproduce
-  //    ForEachOwed order exactly, so the array — and everything downstream —
-  //    is identical.
-  CandVec& initial = cand_work_;
-  initial.clear();
-  if (options_.incremental_candidates) {
-    CandidateCache& cache = cand_cache_;
-    // The cache may only be patched forward when it describes the previous
-    // cycle of this exact ReplicaState object under the same policy; any
-    // mismatch (fresh state copy, skipped cycle, explicit invalidation)
-    // degrades to an all-dirty build that refills it.
-    const bool warm = cache.valid && cache.state_uid == state.state_uid() &&
-                      cache.policy == policy && cycle == cache.last_cycle + 1;
-    constexpr int64_t kUnitBlocks = ReplicaState::kDirtyChunkBlocks;
-    // New unit list: one unit per (job, chunk), in ForEachOwed order.
-    std::vector<CandidateUnit> units;
-    {
-      size_t total_units = 0;
-      for (const MulticastJob* job : jobs_by_pos) {
-        total_units += static_cast<size_t>((job->num_blocks() + kUnitBlocks - 1) / kUnitBlocks);
-      }
-      units.reserve(total_units);
-    }
-    for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-      const MulticastJob* job = jobs_by_pos[jp];
-      const int64_t nblocks = job->num_blocks();
-      for (int64_t b0 = 0; b0 < nblocks; b0 += kUnitBlocks) {
-        CandidateUnit u;
-        u.job = job->id;
-        u.b0 = b0;
-        u.jp = static_cast<uint32_t>(jp);
-        units.push_back(u);
-      }
-    }
-    // Old-unit lookup: a job's units are contiguous and chunk-aligned in
-    // both lists, so old unit = (job's first old unit) + chunk index. Job
-    // retirement only shifts positions — the fill pass patches the packed
-    // jp bit field of reused slots directly.
-    std::vector<int64_t> old_first(jobs_by_pos.size(), -1);
-    if (warm) {
-      std::unordered_map<JobId, int64_t> first_by_job;
-      first_by_job.reserve(jobs_by_pos.size() * 2);
-      for (size_t u = 0; u < cache.units.size(); ++u) {
-        if (u == 0 || cache.units[u].job != cache.units[u - 1].job) {
-          first_by_job.emplace(cache.units[u].job, static_cast<int64_t>(u));
-        }
-      }
-      for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-        auto it = first_by_job.find(jobs_by_pos[jp]->id);
-        if (it != first_by_job.end()) {
-          old_first[jp] = it->second;
-        }
-      }
-    }
-    // Classify + price pass: clean units keep their cached count; dirty
-    // units are re-priced with one popcount per block.
-    const uint64_t seen = cache.seen_epoch;
-    std::vector<int64_t> unit_count(units.size(), 0);
-    std::vector<int64_t> unit_old(units.size(), -1);  // Old unit idx if clean.
-    pool_.For(units.size(), [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        const CandidateUnit& cu = units[u];
-        const int64_t chunk = cu.b0 / kUnitBlocks;
-        if (warm && old_first[cu.jp] >= 0) {
-          const size_t oi = static_cast<size_t>(old_first[cu.jp] + chunk);
-          if (oi < cache.units.size() && cache.units[oi].job == cu.job &&
-              cache.units[oi].b0 == cu.b0 && state.ChunkVersion(cu.jp, chunk) <= seen) {
-            unit_count[u] = cache.units[oi].count;
-            unit_old[u] = static_cast<int64_t>(oi);
-            continue;
-          }
-        }
-        unit_count[u] = state.CountOwedInRange(cu.jp, cu.b0, cu.b0 + kUnitBlocks);
-      }
-    });
-    int64_t units_reused = 0, slots_reused = 0;
-    uint64_t total = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-      units[u].offset = total;
-      units[u].count = static_cast<uint32_t>(unit_count[u]);
-      total += static_cast<uint64_t>(unit_count[u]);
-      if (unit_old[u] >= 0) {
-        ++units_reused;
-        slots_reused += unit_count[u];
-      }
-    }
-    BDS_CHECK(total == static_cast<uint64_t>(state.num_pending()));
-    // Fill pass into the double buffer: clean units are copied from the old
-    // array with the packed jp field patched (kSequential's salt IS the
-    // key, so it is re-derived); dirty units stream ForEachOwedInRange with
-    // fused salts, exactly like the from-scratch builders.
-    CandVec& out = cache.scratch;
-    out.resize(static_cast<size_t>(total));
-    pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        const CandidateUnit& cu = units[u];
-        if (unit_old[u] >= 0) {
-          const CandidateUnit& old = cache.units[static_cast<size_t>(unit_old[u])];
-          const Candidate* src = cache.slots.data() + old.offset;
-          Candidate* dst = out.data() + cu.offset;
-          std::copy(src, src + cu.count, dst);
-          if (old.jp != cu.jp) {
-            // Two's-complement delta: the jp field occupies the top 16 bits,
-            // and the low 48 bits are unchanged, so adding the (possibly
-            // negative) difference shifted into place never borrows across.
-            const uint64_t jp_delta =
-                (static_cast<uint64_t>(cu.jp) - static_cast<uint64_t>(old.jp)) << 48;
-            for (uint32_t i = 0; i < cu.count; ++i) {
-              dst[i].key += jp_delta;
-              if (policy == SchedulingPolicy::kSequential) {
-                dst[i].salt = dst[i].key;
-              }
-            }
-          }
-        } else {
-          size_t w = static_cast<size_t>(cu.offset);
-          state.ForEachOwedInRange(
-              cu.jp, cu.b0, cu.b0 + kUnitBlocks,
-              [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc,
-                  int dups) {
-                const uint64_t key = pack_key(jp, block, dp);
-                out[w++] = Candidate{
-                    policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-                    policy == SchedulingPolicy::kSequential ? key
-                                                            : candidate_salt(job.id, block, dc),
-                    key};
-              });
-          BDS_CHECK(w == static_cast<size_t>(cu.offset) + cu.count);
-        }
-      }
-    });
-    std::swap(cache.slots, cache.scratch);
-    cache.units = std::move(units);
-    cache.valid = true;
-    cache.state_uid = state.state_uid();
-    cache.seen_epoch = state.dirty_epoch();
-    cache.last_cycle = cycle;
-    cache.policy = policy;
-    if (options_.debug_verify_incremental) {
-      // From-scratch reference stream, compared slot by slot.
-      size_t idx = 0;
-      bool match = true;
-      state.ForEachOwed(
-          [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
-            const uint64_t key = pack_key(jp, block, dp);
-            const Candidate ref{
-                policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-                policy == SchedulingPolicy::kSequential ? key : candidate_salt(job.id, block, dc),
-                key};
-            const Candidate& got = cache.slots[idx++];
-            if (got.eff_dup != ref.eff_dup || got.salt != ref.salt || got.key != ref.key) {
-              match = false;
-            }
-          });
-      BDS_CHECK_MSG(match && idx == static_cast<size_t>(total),
-                    "incremental candidate build diverged from the from-scratch reference");
-    }
-    // The selection loop permutes its array, so it works on a copy and the
-    // cache keeps the pristine slots for the next cycle's patch pass.
-    initial.resize(static_cast<size_t>(total));
-    pool_.For(initial.size(), [&](size_t begin, size_t end) {
-      std::copy(cache.slots.begin() + static_cast<ptrdiff_t>(begin),
-                cache.slots.begin() + static_cast<ptrdiff_t>(end),
-                initial.begin() + static_cast<ptrdiff_t>(begin));
-    });
-    decision.cand_units_reused = units_reused;
-    decision.cand_units_repriced = static_cast<int64_t>(cache.units.size()) - units_reused;
-    decision.cand_slots_reused = slots_reused;
-    decision.cand_slots_repriced = static_cast<int64_t>(total) - slots_reused;
-    BDS_TELEMETRY_COUNT("scheduler.cand_units_reused", decision.cand_units_reused);
-    BDS_TELEMETRY_COUNT("scheduler.cand_units_repriced", decision.cand_units_repriced);
-    BDS_TELEMETRY_COUNT("scheduler.cand_slots_reused", decision.cand_slots_reused);
-    BDS_TELEMETRY_COUNT("scheduler.cand_slots_repriced", decision.cand_slots_repriced);
-  } else if (num_shards > 1) {
-    struct BuildUnit {
-      size_t jp = 0;
-      int64_t b0 = 0, b1 = 0;
-      size_t offset = 0;
-    };
-    constexpr int64_t kBuildChunk = int64_t{1} << 16;
-    std::vector<BuildUnit> units;
-    for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-      const int64_t nblocks = jobs_by_pos[jp]->num_blocks();
-      for (int64_t b0 = 0; b0 < nblocks; b0 += kBuildChunk) {
-        units.push_back(BuildUnit{jp, b0, std::min(nblocks, b0 + kBuildChunk), 0});
-      }
-    }
-    std::vector<int64_t> unit_count(units.size(), 0);
-    pool_.For(units.size(), [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        unit_count[u] = state.CountOwedInRange(units[u].jp, units[u].b0, units[u].b1);
-      }
-    });
-    size_t total = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-      units[u].offset = total;
-      total += static_cast<size_t>(unit_count[u]);
-    }
-    BDS_CHECK(total == static_cast<size_t>(state.num_pending()));
-    initial.resize(total);
-    pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        size_t w = units[u].offset;
-        state.ForEachOwedInRange(
-            units[u].jp, units[u].b0, units[u].b1,
-            [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc,
-                int dups) {
-              const uint64_t key = pack_key(jp, block, dp);
-              initial[w++] = Candidate{
-                  policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-                  policy == SchedulingPolicy::kSequential ? key
-                                                          : candidate_salt(job.id, block, dc),
-                  key};
-            });
-        BDS_CHECK(w == units[u].offset + static_cast<size_t>(unit_count[u]));
-      }
-    });
-  } else {
-    const bool parallel_salt =
-        pool_.num_threads() > 1 && policy != SchedulingPolicy::kSequential;
-    initial.reserve(static_cast<size_t>(state.num_pending()));
-    state.ForEachOwed(
-        [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
-          const uint64_t key = pack_key(jp, block, dp);
-          uint64_t salt = key;
-          if (policy != SchedulingPolicy::kSequential) {
-            salt = parallel_salt ? 0 : candidate_salt(job.id, block, dc);
-          }
-          initial.push_back(
-              Candidate{policy == SchedulingPolicy::kRarestFirst ? dups : 0, salt, key});
-        });
-    if (parallel_salt) {
-      pool_.For(initial.size(), [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const uint64_t key = initial[i].key;
-          const MulticastJob* job = jobs_by_pos[key >> 48];
-          initial[i].salt =
-              candidate_salt(job->id, static_cast<int64_t>((key >> 6) & kBlockMask),
-                             job->dest_dcs[key & 63]);
-        }
-      });
-    }
-  }
+  BuildCandidates(cycle, state, jobs_by_pos, decision);
 
   // Candidate queue. Pops always extract the global minimum of the remaining
   // candidates under the strict total order (eff_dup, salt, index) — indices
@@ -457,7 +363,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
     size_t heap_end = 0;              // Heap mode: min-heap over [begin, heap_end).
     size_t chunk = kChunk;            // Chunked: next carve size (doubles).
   };
-  CandVec& cands = cand_work_;  // Alias: the build above filled it in place.
+  CandVec& cands = cand_work_;  // BuildCandidates filled it.
   std::vector<ShardQueue> shards;
   std::priority_queue<Candidate, CandVec, std::greater<Candidate>> side;
   // Legacy K == 1 heap mode keeps the single priority_queue path untouched.
@@ -625,11 +531,11 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
     // Unpack the delivery's coordinates; dest server and duplicate count are
     // recomputed here, for popped candidates only (AssignedServer is a pure
     // function of the coordinates, and holder sets don't change mid-cycle).
-    const size_t jpos = static_cast<size_t>(c.key >> 48);
+    const size_t jpos = static_cast<size_t>(c.key >> kKeyJobShift);
     const MulticastJob* job = jobs_by_pos[jpos];
     PendingDelivery p;
     p.job = job->id;
-    p.block = static_cast<int64_t>((c.key >> 6) & kBlockMask);
+    p.block = static_cast<int64_t>((c.key >> kKeyBlockShift) & kKeyBlockMask);
     p.dc = job->dest_dcs[c.key & 63];
     p.dest_server = state.AssignedServer(p.job, p.block, p.dc);
     p.duplicates = cursors[jpos].duplicate_count(p.block);
@@ -638,7 +544,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
     // Read-only lookup here — most candidates are popped once and rejected,
     // and inserting a zero entry for each of them (up to 10^6) would turn
     // the map into the selection loop's dominant cost.
-    const uint64_t bkey = block_key(p.job, p.block);
+    const uint64_t bkey = BlockKey(p.job, p.block);
     const auto dups_it = extra_dups.find(bkey);
     const int dups = dups_it != extra_dups.end() ? dups_it->second : 0;
     if (options_.policy == SchedulingPolicy::kRarestFirst) {

@@ -21,7 +21,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/huge_alloc.h"
 #include "src/common/parallel.h"
 #include "src/common/types.h"
 #include "src/lp/mcf.h"
@@ -106,16 +105,15 @@ struct ControllerAlgorithmOptions {
   // for every value (deterministic static partitioning, per-slot writes).
   int num_threads = 1;
   // Fleet-scale sharding (DESIGN.md "Sharded controller"). With K > 1 the
-  // cycle's work is partitioned K ways: the candidate array is built in
-  // exact per-shard slots (CountOwedInRange pricing) and carved/heapified
-  // per contiguous shard with a K-way merge pop, and the routing FPTAS runs
-  // per link-disjoint commodity group (SolveMcfFptasSharded) with one global
-  // finalize as the merge under the bandwidth-separator budget. Decisions
-  // are bit-identical to num_shards = 1 for ANY shard and thread count —
-  // selection pops the same strict total order and the per-group push loops
-  // share the global instance's constants (see the shard-parity suite).
-  // Ignored by schedule_all / use_exact_lp, whose solvers have no shard
-  // seam.
+  // cycle's work is partitioned K ways: the candidate array is carved/
+  // heapified per contiguous shard with a K-way merge pop, and the routing
+  // FPTAS runs per link-disjoint commodity group (SolveMcfFptasSharded) with
+  // one global finalize as the merge under the bandwidth-separator budget.
+  // Decisions are bit-identical to num_shards = 1 for ANY shard and thread
+  // count — selection pops the same strict total order and the per-group
+  // push loops share the global instance's constants (see the shard-parity
+  // suite). Ignored by schedule_all / use_exact_lp, whose solvers have no
+  // shard seam.
   int num_shards = 1;
   // Degradation-ladder knob positions (src/scheduler/degradation.h); only
   // consulted when SetDegradationRung raises the rung above kNormal.
@@ -125,13 +123,6 @@ struct ControllerAlgorithmOptions {
   // with max_deliveries_per_cycle by min when both are set):
   int64_t shed_deliveries_cap = 4096;
   // --- Cross-cycle incrementality (DESIGN.md §9.7) ---
-  // Delta candidate build: keep the previous cycle's candidate slot array
-  // and re-price only the (job, 64-block chunk) units ReplicaState marked
-  // dirty since; clean units are memcpy'd with their packed job position
-  // patched. Byte-identical to the from-scratch builders on every cycle
-  // (cold or warm), so it is safe as the universal default. `false` falls
-  // back to the always-from-scratch builders.
-  bool incremental_candidates = true;
   // FPTAS warm start: seed each cycle's routing solve from the previous
   // cycle's converged per-commodity flows when the topology and path set
   // are unchanged. Relaxed parity: feasible, deterministic for any
@@ -143,10 +134,6 @@ struct ControllerAlgorithmOptions {
   // but not bitwise-equal to the unsharded solve — gate it together with
   // warm_start under the relaxed-parity contract.
   bool split_contended = false;
-  // Debug cross-check: after every incremental candidate build, rebuild
-  // from scratch and BDS_CHECK the arrays are identical. O(pending) extra
-  // work per cycle; test-suite only.
-  bool debug_verify_incremental = false;
 };
 
 class ControllerAlgorithm {
@@ -199,11 +186,15 @@ class ControllerAlgorithm {
     ServerId src_server = kInvalidServer;
   };
 
-  // A schedulable delivery in packed 24-byte form (see ScheduleBlocks'
-  // commentary): `key` packs (job position, block, dest-DC position) into
-  // bit fields that strictly increase in PendingDeliveries() order, `salt`
-  // is the deterministic pseudo-random tie-break, `eff_dup` the speculative
-  // duplicate count. Ordering by (eff_dup, salt, key) has no ties.
+  // Reads cand_cache_ for the churn suite's slot-for-slot oracle check
+  // (tests/oracles/candidate_oracle.h).
+  friend class ControllerAlgorithmTestPeer;
+
+  // A schedulable delivery in packed 24-byte form: `key` is
+  // PackCandidateKey's (job position, block, dest-DC position), which
+  // strictly increases in PendingDeliveries() order, `salt` the
+  // deterministic pseudo-random tie-break (CandidateSalt), `eff_dup` the
+  // speculative duplicate count. Ordering by (eff_dup, salt, key) has no ties.
   struct Candidate {
     int eff_dup;
     uint64_t salt;
@@ -218,11 +209,7 @@ class ControllerAlgorithm {
       return key > o.key;
     }
   };
-  // Candidate arrays live in transparent-hugepage-backed storage: at the
-  // fleet scale the build and carve stream hundreds of megabytes of slots,
-  // and 4 KiB pages make the TLB the bottleneck. Falls back silently to
-  // plain pages (and, below the size threshold, to plain operator new).
-  using CandVec = HugeVector<Candidate>;
+  using CandVec = std::vector<Candidate>;
 
   // One kDirtyChunkBlocks-aligned slice of one job's candidate slots in the
   // previous cycle's array (the delta build's unit of reuse).
@@ -237,7 +224,7 @@ class ControllerAlgorithm {
   // Previous cycle's candidate array plus the unit index needed to patch it
   // (DESIGN.md §9.7). Valid only against the exact ReplicaState object it
   // was built from (state uid), the next cycle (last_cycle + 1), and the
-  // same policy; anything else falls back to an all-dirty (cold) build that
+  // same policy; anything else makes every unit dirty (the cold build) and
   // refills the cache.
   struct CandidateCache {
     bool valid = false;
@@ -274,6 +261,13 @@ class ControllerAlgorithm {
                                        const std::vector<Rate>& residual_capacities,
                                        const DeliveryKeySet& in_flight, CycleDecision& decision);
 
+  // Fills cand_work_ with this cycle's candidates (one slot per owed
+  // delivery, in ForEachOwed order) by patching cand_cache_ forward; a cold
+  // or invalidated cache re-prices every unit.
+  void BuildCandidates(int64_t cycle, const ReplicaState& state,
+                       const std::vector<const MulticastJob*>& jobs_by_pos,
+                       CycleDecision& decision);
+
   // Routing step: merge into subtasks, build the MCF, allocate rates.
   void RouteBlocks(int64_t cycle, std::vector<Selected> selected,
                    const std::vector<Rate>& residual_capacities, CycleDecision& decision);
@@ -296,6 +290,17 @@ class ControllerAlgorithm {
   CandidateCache cand_cache_;
   RouteWarmCache route_warm_;
 };
+
+// The selection's pop order is (eff_dup, salt, key) over these two values.
+// PackCandidateKey packs a delivery's coordinates — job position in
+// job_ids() (24 bits), block (34 bits), destination-DC position (6 bits) —
+// so keys compare exactly like the coordinates in ForEachOwed order.
+// CandidateSalt is the pseudo-random tie-break among equally rare
+// candidates: it spreads them across destination DCs and blocks, where
+// ordering by pending position would aim every first copy at the
+// lowest-numbered DC and leave the others' downlinks idle for the cycle.
+uint64_t PackCandidateKey(size_t jp, int64_t block, size_t dp);
+uint64_t CandidateSalt(JobId job, int64_t block, DcId dc);
 
 // Splits `num_blocks` atomic blocks across a subtask's paths proportionally
 // to the allocated `path_flow` rates: floor allocation per path, remainder —

@@ -142,12 +142,12 @@ class ReplicaState {
     }
   }
 
-  // Range-restricted variants for the sharded candidate build: the owed
-  // deliveries of job position `jp` whose block is in [block_begin,
+  // Range-restricted variants for the controller's candidate build: the
+  // owed deliveries of job position `jp` whose block is in [block_begin,
   // block_end), in the same (block, dc_pos) order ForEachOwed visits them.
   // CountOwedInRange prices a range without visiting destinations (one
   // popcount per block), so the controller can carve the global candidate
-  // array into exact per-shard slots and fill them in parallel.
+  // array into exact per-unit slots and fill them in parallel.
   int64_t CountOwedInRange(size_t jp, int64_t block_begin, int64_t block_end) const {
     const JobInfo& info = jobs_.find(job_ids_[jp])->second;
     const int64_t end =

@@ -8,10 +8,9 @@
 //  * fair    — decentralized baselines let TCP find the rate; modelled as
 //              max-min fair sharing of residual link capacity.
 //
-// NetworkSimulator does not store Flow objects: active flows live in a
-// struct-of-arrays pool (FlowSoA) and are observed through FlowView. The
-// Flow struct remains the allocator's standalone input type (reference
-// solver, property tests).
+// NetworkSimulator stores active flows in a struct-of-arrays pool (FlowSoA);
+// callers observe one through FlowView and a finished one through
+// FlowRecord.
 
 #ifndef BDS_SRC_SIMULATOR_FLOW_H_
 #define BDS_SRC_SIMULATOR_FLOW_H_
@@ -22,41 +21,6 @@
 #include "src/common/types.h"
 
 namespace bds {
-
-struct Flow {
-  FlowId id = kInvalidFlow;
-  std::vector<LinkId> links;
-
-  Bytes total_bytes = 0.0;
-  // Bytes left to transfer *as of anchor_time*. Progress is lazy: between
-  // rate changes the pair (anchor_time, remaining) plus current_rate fully
-  // describe the flow, so untouched flows cost nothing per event. Use
-  // RemainingAt(now) for the instantaneous value.
-  Bytes remaining = 0.0;
-  SimTime anchor_time = 0.0;
-
-  // 0 means "fair share"; > 0 means pinned to at most this rate.
-  Rate pinned_rate = 0.0;
-  // Set by the bandwidth allocator at every reallocation; valid since
-  // anchor_time.
-  Rate current_rate = 0.0;
-
-  SimTime start_time = 0.0;
-  SimTime end_time = -1.0;  // < 0 while in flight.
-
-  // Opaque cookies for the client (e.g. block id / job id); the simulator
-  // never interprets them.
-  int64_t tag = 0;
-  int64_t tag2 = 0;
-
-  bool pinned() const { return pinned_rate > 0.0; }
-  bool completed() const { return end_time >= 0.0; }
-
-  Bytes RemainingAt(SimTime t) const {
-    Bytes left = remaining - current_rate * (t - anchor_time);
-    return left > 0.0 ? left : 0.0;
-  }
-};
 
 // Read-only snapshot of an in-flight flow in the simulator's SoA pool,
 // returned by NetworkSimulator::FindFlow. `links` points into the pool's

@@ -49,6 +49,11 @@ Status MulticastJob::Validate(int num_dcs) const {
   if (block_size <= 0.0) {
     return InvalidArgumentError("job: block size must be positive");
   }
+  // Compared in floating point, before num_blocks() casts to int64_t: a
+  // huge (or non-finite) ratio would overflow the cast.
+  if (!(total_bytes / block_size - 1e-12 <= static_cast<double>(kMaxJobBlocks))) {
+    return InvalidArgumentError("job: too many blocks");
+  }
   return Status::Ok();
 }
 

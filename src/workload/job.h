@@ -12,6 +12,10 @@
 
 namespace bds {
 
+// Largest block count a job may have: the controller packs a block index
+// into 34 bits of its candidate key (PackCandidateKey).
+inline constexpr int64_t kMaxJobBlocks = (int64_t{1} << 34) - 1;
+
 struct MulticastJob {
   JobId id = kInvalidJob;
   std::string app_type;
@@ -27,7 +31,8 @@ struct MulticastJob {
   // Size of the idx-th block (the last one may be smaller).
   Bytes BlockSizeOf(int64_t idx) const;
 
-  // Validation used by every entry point that accepts a job.
+  // Validation used by every entry point that accepts a job; rejects more
+  // than kMaxJobBlocks blocks.
   Status Validate(int num_dcs) const;
 };
 

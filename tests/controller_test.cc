@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/core/options.h"
 #include "src/topology/builders.h"
 
@@ -51,6 +55,40 @@ TEST(BdsControllerTest, SubmitAfterPriorRunsJobsSortedByArrival) {
   EXPECT_TRUE(report->completed);
   // The job arriving at t=0 must finish before the one arriving at t=10.
   EXPECT_LT(report->job_completion.at(1), report->job_completion.at(0));
+}
+
+// Jobs are admitted in (arrival_time, submission) order, whatever order
+// they were submitted in.
+TEST(BdsControllerTest, AdmitsInArrivalThenSubmissionOrder) {
+  Fixture f;
+  BdsController controller(&f.topo, &f.routing, Defaults());
+  std::vector<std::pair<SimTime, JobId>> expected;
+  for (JobId id = 0; id < 40; ++id) {
+    const SimTime arrival = static_cast<SimTime>((id * 7) % 4);
+    ASSERT_TRUE(
+        controller.SubmitJob(MakeJob(id, 0, {1}, MB(2.0), MB(2.0), arrival).value()).ok());
+    expected.emplace_back(arrival, id);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_TRUE(controller.Run(/*deadline=*/3.5).ok());
+  std::vector<JobId> admitted = controller.state().job_ids();
+  ASSERT_EQ(admitted.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(admitted[i], expected[i].second) << "admission " << i;
+  }
+}
+
+TEST(BdsControllerTest, RejectsJobWithTooManyBlocks) {
+  Fixture f;
+  BdsController controller(&f.topo, &f.routing, Defaults());
+  MulticastJob job = MakeJob(0, 0, {1}, static_cast<double>(kMaxJobBlocks), 1.0).value();
+  EXPECT_TRUE(controller.SubmitJob(job).ok());  // Exactly at the limit.
+  job.id = 1;
+  job.total_bytes = static_cast<double>(kMaxJobBlocks) + 1.0;
+  EXPECT_EQ(controller.SubmitJob(job).code(), StatusCode::kInvalidArgument);
+  job.total_bytes = 1e300;  // Would overflow num_blocks()'s int64_t cast.
+  EXPECT_EQ(controller.SubmitJob(job).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BdsControllerTest, CycleStatsAreConsistent) {

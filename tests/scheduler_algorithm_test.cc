@@ -231,6 +231,25 @@ TEST(ControllerAlgorithmTest, KnobParityHoldsForEveryPolicy) {
   }
 }
 
+// The packed candidate key gives job positions 24 bits; at 16 bits the
+// 65,536th live job aborted the controller.
+TEST(ControllerAlgorithmTest, DecidesWith65536LiveJobs) {
+  Fixture f(/*blocks=*/1);
+  for (JobId id = 2; id <= 65536; ++id) {
+    ASSERT_TRUE(f.state.AddJob(MakeJob(id, 0, {1}, MB(2.0), MB(2.0)).value()).ok());
+  }
+  ASSERT_EQ(f.state.job_ids().size(), size_t{65536});
+  ControllerAlgorithm algo(&f.topo, &f.routing, DefaultOptions());
+  CycleDecision d = algo.Decide(0, f.state, f.residual, {});
+  EXPECT_GT(d.scheduled_blocks, 0);
+  for (const TransferAssignment& t : d.transfers) {
+    ASSERT_NE(f.state.FindJob(t.job), nullptr);
+    for (int64_t b : t.blocks) {
+      EXPECT_LT(b, f.state.FindJob(t.job)->num_blocks());
+    }
+  }
+}
+
 TEST(ControllerAlgorithmTest, PathCacheSurvivesInvalidation) {
   Fixture f = BigFixture();
   ControllerAlgorithm algo(&f.topo, &f.routing, DefaultOptions());

@@ -3,12 +3,12 @@
 // Two properties over multi-cycle runs with job arrivals, retirements,
 // deliveries, and server faults between cycles:
 //
-//  1. Churn parity (bitwise): the incremental candidate build — persisted
-//     per-(job, chunk) summaries patched forward through the dirty set —
-//     must produce decisions bit-identical to the from-scratch legacy build
-//     at every cycle, for any shard/thread count. debug_verify_incremental
-//     additionally makes the algorithm rebuild from scratch internally and
-//     BDS_CHECK the arrays match element-wise.
+//  1. Churn parity (bitwise): the incremental candidate build — last
+//     cycle's slots patched forward through the dirty set — must equal the
+//     from-scratch ForEachOwed stream (tests/oracles) slot for slot after
+//     every Decide, and its decisions must equal those of a controller whose
+//     cycle cache is invalidated before every Decide (an all-dirty build),
+//     for any shard/thread count.
 //
 //  2. Warm-start relaxed parity (behavioral): with warm_start and
 //     split_contended on, decisions are no longer bitwise-equal to the cold
@@ -26,6 +26,7 @@
 #include "src/scheduler/replica_state.h"
 #include "src/topology/builders.h"
 #include "src/workload/job.h"
+#include "tests/oracles/candidate_oracle.h"
 
 namespace bds {
 namespace {
@@ -103,11 +104,25 @@ void ApplyChurn(Rng& rng, const Scenario& sc, ReplicaState& state,
   }
 }
 
+// How a churn run treats the controller's cross-cycle candidate cache.
+enum class CacheMode {
+  kWarm,         // Patched forward cycle to cycle (production).
+  kWarmChecked,  // kWarm, plus a slot-for-slot oracle check after each Decide.
+  kCold,         // Invalidated before every Decide: an all-dirty build.
+};
+
+// Totals over one churn run.
+struct ChurnStats {
+  int64_t scheduled_blocks = 0;
+  int warm_cycles = 0;            // Cycles whose routing solve was warm-started.
+  int64_t cand_slots_reused = 0;  // Candidate slots patched, not re-priced.
+};
+
 // Runs `cycles` decide+churn steps and folds every decision fingerprint into
 // one digest; the first divergent cycle poisons all later ones.
 uint64_t RunChurnFingerprint(uint64_t seed, const ControllerAlgorithmOptions& opt,
-                             int cycles, int64_t* scheduled_total = nullptr,
-                             int* warm_cycles = nullptr) {
+                             int cycles, CacheMode mode = CacheMode::kWarm,
+                             ChurnStats* stats = nullptr) {
   Scenario sc = MakeScenario(seed);
   ReplicaState state(&sc.topo);
   Rng churn_rng(seed ^ 0x5DEECE66DULL);
@@ -123,42 +138,65 @@ uint64_t RunChurnFingerprint(uint64_t seed, const ControllerAlgorithmOptions& op
     h ^= h >> 31;
   };
   for (int c = 0; c < cycles; ++c) {
-    CycleDecision d = algo.Decide(c, state, sc.residual, {});
-    mix(d.Fingerprint());
-    if (scheduled_total != nullptr) {
-      *scheduled_total += d.scheduled_blocks;
+    if (mode == CacheMode::kCold) {
+      algo.InvalidateCycleCache();
     }
-    if (warm_cycles != nullptr && d.warm_solve) {
-      ++*warm_cycles;
+    CycleDecision d = algo.Decide(c, state, sc.residual, {});
+    if (mode == CacheMode::kWarmChecked) {
+      EXPECT_TRUE(ControllerAlgorithmTestPeer::CachedSlots(algo) ==
+                  ReferenceCandidates(state, opt.policy))
+          << "candidate slots diverge from the ForEachOwed stream at cycle " << c;
+    }
+    mix(d.Fingerprint());
+    if (stats != nullptr) {
+      stats->scheduled_blocks += d.scheduled_blocks;
+      stats->warm_cycles += d.warm_solve ? 1 : 0;
+      stats->cand_slots_reused += d.cand_slots_reused;
     }
     ApplyChurn(churn_rng, sc, state, d, &next_job);
   }
   return h;
 }
 
-ControllerAlgorithmOptions Options(bool incremental, int shards, int threads) {
+ControllerAlgorithmOptions Options(int shards, int threads) {
   ControllerAlgorithmOptions opt;
-  opt.incremental_candidates = incremental;
   opt.num_shards = shards;
   opt.num_threads = threads;
   return opt;
 }
 
-// Churn parity: the incremental build equals the legacy from-scratch build
-// bit for bit at every cycle of an arrival/retire/delivery/fault sequence,
-// across shard and thread counts. debug_verify_incremental turns on the
-// internal element-wise rebuild check as well.
-TEST(WarmChurnTest, IncrementalMatchesLegacyAcrossChurn) {
+// Churn parity: at every cycle of an arrival/retire/delivery/fault sequence,
+// across shard and thread counts, the warm controller's cached slots equal
+// the from-scratch stream and its decisions equal the cold controller's.
+TEST(WarmChurnTest, IncrementalMatchesColdAcrossChurn) {
+  ChurnStats warm;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    const uint64_t legacy = RunChurnFingerprint(seed, Options(false, 1, 1), 8);
-    ControllerAlgorithmOptions verify = Options(true, 1, 1);
-    verify.debug_verify_incremental = true;
-    EXPECT_EQ(RunChurnFingerprint(seed, verify, 8), legacy) << "seed " << seed;
+    const uint64_t cold = RunChurnFingerprint(seed, Options(1, 1), 8, CacheMode::kCold);
     for (int shards : {1, 4}) {
       for (int threads : {1, 4}) {
-        EXPECT_EQ(RunChurnFingerprint(seed, Options(true, shards, threads), 8), legacy)
-            << "seed " << seed << " shards " << shards << " threads " << threads;
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " shards " << shards
+                                        << " threads " << threads);
+        EXPECT_EQ(RunChurnFingerprint(seed, Options(shards, threads), 8,
+                                      CacheMode::kWarmChecked, &warm),
+                  cold);
       }
+    }
+  }
+  EXPECT_GT(warm.cand_slots_reused, 0) << "no cycle patched a cached slot";
+}
+
+// The same parity for the other selection policies: kSequential's salt is
+// the packed key itself, so the patch pass must re-derive it when a job's
+// position shifts.
+TEST(WarmChurnTest, IncrementalMatchesColdForEveryPolicy) {
+  for (SchedulingPolicy policy : {SchedulingPolicy::kRandom, SchedulingPolicy::kSequential}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy) << " seed "
+                                      << seed);
+      ControllerAlgorithmOptions opt = Options(1, 1);
+      opt.policy = policy;
+      EXPECT_EQ(RunChurnFingerprint(seed, opt, 8, CacheMode::kWarmChecked),
+                RunChurnFingerprint(seed, opt, 8, CacheMode::kCold));
     }
   }
 }
@@ -168,12 +206,12 @@ TEST(WarmChurnTest, IncrementalMatchesLegacyAcrossChurn) {
 // thread count) and the warm path actually engages after the first cycle.
 TEST(WarmChurnTest, WarmStartDeterministicUnderChurn) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    ControllerAlgorithmOptions warm = Options(true, 4, 1);
+    ControllerAlgorithmOptions warm = Options(4, 1);
     warm.warm_start = true;
     warm.split_contended = true;
-    int warm_cycles = 0;
-    const uint64_t first = RunChurnFingerprint(seed, warm, 8, nullptr, &warm_cycles);
-    EXPECT_GT(warm_cycles, 0) << "seed " << seed;
+    ChurnStats stats;
+    const uint64_t first = RunChurnFingerprint(seed, warm, 8, CacheMode::kWarm, &stats);
+    EXPECT_GT(stats.warm_cycles, 0) << "seed " << seed;
     for (int threads : {1, 4}) {
       ControllerAlgorithmOptions again = warm;
       again.num_threads = threads;
@@ -189,14 +227,14 @@ TEST(WarmChurnTest, WarmStartDeterministicUnderChurn) {
 // a collapse here would mean the warm seed corrupted the solve.)
 TEST(WarmChurnTest, WarmStartSchedulesComparableVolume) {
   for (uint64_t seed = 20; seed <= 25; ++seed) {
-    int64_t cold_blocks = 0, warm_blocks = 0;
-    RunChurnFingerprint(seed, Options(true, 4, 1), 8, &cold_blocks);
-    ControllerAlgorithmOptions warm = Options(true, 4, 1);
+    ChurnStats cold, warm_stats;
+    RunChurnFingerprint(seed, Options(4, 1), 8, CacheMode::kWarm, &cold);
+    ControllerAlgorithmOptions warm = Options(4, 1);
     warm.warm_start = true;
     warm.split_contended = true;
-    RunChurnFingerprint(seed, warm, 8, &warm_blocks);
-    EXPECT_GE(warm_blocks, cold_blocks / 2) << "seed " << seed;
-    EXPECT_LE(warm_blocks, cold_blocks * 2) << "seed " << seed;
+    RunChurnFingerprint(seed, warm, 8, CacheMode::kWarm, &warm_stats);
+    EXPECT_GE(warm_stats.scheduled_blocks, cold.scheduled_blocks / 2) << "seed " << seed;
+    EXPECT_LE(warm_stats.scheduled_blocks, cold.scheduled_blocks * 2) << "seed " << seed;
   }
 }
 

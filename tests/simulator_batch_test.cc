@@ -1,5 +1,5 @@
 // Batched-churn and SoA hot-path edge cases:
-//  * Flow/FlowView::RemainingAt clamps at zero (no negative remaining);
+//  * FlowView::RemainingAt clamps at zero (no negative remaining);
 //  * rate_epoch lazy heap invalidation — a starved (zero-rate) flow's stale
 //    projected completion must never fire, and simultaneous completions at
 //    one timestamp batch into a single event;
@@ -36,19 +36,6 @@ ClusterNet MakeClusters(int clusters, Rate rate = 10e6) {
     n.paths.push_back({n.topo.server(src).uplink, wan, n.topo.server(dst).downlink});
   }
   return n;
-}
-
-TEST(RemainingAtTest, FlowClampsAtZero) {
-  Flow f;
-  f.remaining = 10.0;
-  f.anchor_time = 2.0;
-  f.current_rate = 5.0;
-  EXPECT_DOUBLE_EQ(f.RemainingAt(2.0), 10.0);
-  EXPECT_DOUBLE_EQ(f.RemainingAt(3.0), 5.0);
-  EXPECT_DOUBLE_EQ(f.RemainingAt(4.0), 0.0);
-  // Past the projected completion the clamp must hold — a negative value
-  // would corrupt every downstream byte count.
-  EXPECT_DOUBLE_EQ(f.RemainingAt(1000.0), 0.0);
 }
 
 TEST(RemainingAtTest, FlowViewClampsAtZero) {
