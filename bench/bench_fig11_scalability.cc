@@ -5,11 +5,11 @@
 //        (paper: 90 % below 50 ms, mean ~25 ms);
 //  11c — CDF of the full feedback-loop delay (paper: 80 % below 200 ms).
 //
-// 11a runs under google-benchmark for stable timing. In addition, an
-// optimization-ablation sweep times the controller decision across
-// 10^4..10^6 blocks with each hot-path optimization toggled independently
-// (baseline / incremental FPTAS / path cache / thread pool / all) and can
-// emit the results as machine-readable JSON for the perf-regression check:
+// 11a runs under google-benchmark for stable timing. In addition, a
+// parallelism sweep times the controller decision across 10^4..10^6 blocks
+// serially, with a 4-thread pool, with 4 shards, and with both (every config
+// must decide bit-identically), and can emit the results as machine-readable
+// JSON for the perf-regression check:
 //
 //   bench_fig11_scalability --json=BENCH_controller.json   # full sweep
 //   bench_fig11_scalability --smoke --json=out.json        # reduced scale
@@ -20,8 +20,8 @@
 //
 // A steady-cycles section always runs after the sweeps: N consecutive
 // decision cycles on one long-lived controller with ~5% job churn between
-// cycles and every cross-cycle cache on (incremental candidates, FPTAS warm
-// start, contended-group splitting — DESIGN.md §9.7). Its cold/warm CPU and
+// cycles and every cross-cycle cache on (incremental candidates and FPTAS
+// warm start — DESIGN.md §9.7). Its cold/warm CPU and
 // candidate reuse rate land in the JSON's "steady_cycles" section, gated by
 // tools/check_bench_regression.py's amortized mode. --steady-cycles runs
 // only that section.
@@ -91,36 +91,22 @@ BENCHMARK(BM_ControllerDecision)
     ->Arg(1'000'000);
 
 // ---------------------------------------------------------------------------
-// Optimization-ablation sweep.
+// Parallelism sweep.
 
 struct SweepConfig {
   const char* name;
-  bool incremental_fptas;
-  bool path_cache;
-  bool sched_early_exit;
   int num_threads;
   int num_shards;
-  // Relaxed-parity knob (DESIGN.md §9.7): a config with it set is excluded
-  // from the bit-identical cross-check against "baseline" and asserted
-  // repetition-stable instead.
-  bool split_contended;
 };
 
-// "baseline" turns every knob off, reproducing the pre-optimization
-// controller; "all" is the shipping default plus the thread pool; the
-// "shards*" rows add the fleet-scale sharded controller on top (decisions
-// must still be bit-identical — the sweep checks the fingerprints).
-// "all_shards4" additionally splits contended FPTAS commodity groups across
-// shards (relaxed parity: still deterministic, no longer bitwise-equal).
+// "serial" is the default controller; the others spread the same work over
+// a thread pool, over shards, or both. Decisions must be bit-identical
+// across all of them — the sweep checks the fingerprints.
 constexpr SweepConfig kSweepConfigs[] = {
-    {"baseline", false, false, false, 1, 1, false},
-    {"incremental_fptas", true, false, false, 1, 1, false},
-    {"path_cache", false, true, false, 1, 1, false},
-    {"sched_early_exit", false, false, true, 1, 1, false},
-    {"threads4", false, false, false, 4, 1, false},
-    {"all", true, true, true, 4, 1, false},
-    {"shards4", true, true, true, 1, 4, false},
-    {"all_shards4", true, true, true, 4, 4, true},
+    {"serial", 1, 1},
+    {"threads4", 4, 1},
+    {"shards4", 1, 4},
+    {"threads4_shards4", 4, 4},
 };
 
 struct SweepPoint {
@@ -157,8 +143,8 @@ void TimeDecide(ControllerAlgorithm& algorithm, const ReplicaState& state,
     if (r == 0 || cpu < best_cpu) {
       best_cpu = cpu;
     }
-    // Every config — including the relaxed-parity ones — must be
-    // repetition-stable: same state, same cycle, same decision bits.
+    // Every config must be repetition-stable: same state, same cycle, same
+    // decision bits.
     const uint64_t fp = decision.Fingerprint();
     if (r == 0) {
       *fingerprint = fp;
@@ -194,8 +180,8 @@ std::vector<SweepPoint> RunConfigSweep(bool smoke) {
     residual.push_back(l.capacity);
   }
 
-  bench::PrintHeader("Figure 11a (ablation)", "decision time per optimization config",
-                     "same deployment; each hot-path optimization toggled independently "
+  bench::PrintHeader("Figure 11a (parallelism)", "decision time per thread/shard config",
+                     "same deployment; threads and shards varied "
                      "(times are min over repetitions; decisions must be bit-identical)");
   std::printf("%10s", "blocks");
   for (const SweepConfig& c : kSweepConfigs) {
@@ -220,25 +206,20 @@ std::vector<SweepPoint> RunConfigSweep(bool smoke) {
 
     SweepPoint point;
     point.blocks = num_blocks;
-    uint64_t baseline_fp = 0;
+    uint64_t serial_fp = 0;
     for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
       const SweepConfig& c = kSweepConfigs[ci];
       ControllerAlgorithmOptions options;
-      options.use_incremental_fptas = c.incremental_fptas;
-      options.use_path_cache = c.path_cache;
-      options.use_sched_early_exit = c.sched_early_exit;
       options.num_threads = c.num_threads;
       options.num_shards = c.num_shards;
-      options.split_contended = c.split_contended;
       ControllerAlgorithm algorithm(&topo, &routing, options);
       uint64_t fp = 0;
       TimeDecide(algorithm, replica_state, residual, reps, &fp, &point.seconds[ci],
                  &point.cpu_seconds[ci]);
       if (ci == 0) {
-        baseline_fp = fp;
-      } else if (!c.split_contended) {
-        BDS_CHECK_MSG(fp == baseline_fp,
-                      "optimization config changed the cycle decision");
+        serial_fp = fp;
+      } else {
+        BDS_CHECK_MSG(fp == serial_fp, "thread/shard config changed the cycle decision");
       }
     }
     std::printf("%10lld", static_cast<long long>(num_blocks));
@@ -261,19 +242,14 @@ std::vector<SweepPoint> RunConfigSweep(bool smoke) {
 struct FleetConfig {
   const char* name;
   int num_shards;
-  bool split_contended;  // Relaxed parity — see SweepConfig.
 };
 
-// Every fleet config runs all-on (incremental FPTAS + path cache + early
-// exit + 4 threads); only the shard count varies. "baseline" is the point's
-// reference config for the regression gate (config-relative ratios), here
-// meaning "all-on, unsharded". The sharded fleet configs split contended
-// commodity groups by default (DESIGN.md §9.7): repetition-stable but no
-// longer bitwise-equal to the unsharded cycle.
+// Every fleet config runs the default controller with 4 threads; only the
+// shard count varies, and decisions must stay bit-identical across it.
 constexpr FleetConfig kFleetConfigs[] = {
-    {"baseline", 1, false},
-    {"fleet_shards4", 4, true},
-    {"fleet_shards8", 8, true},
+    {"fleet_shards1", 1},
+    {"fleet_shards4", 4},
+    {"fleet_shards8", 8},
 };
 
 struct FleetPoint {
@@ -317,8 +293,7 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
   }
 
   bench::PrintHeader("Fleet-scale shard sweep", "one all-on cycle, shard count varied",
-                     "many concurrent jobs; sharded configs split contended groups "
-                     "(relaxed parity, repetition-stable); "
+                     "many concurrent jobs; decisions must be bit-identical; "
                      "acceptance: the sharded 10^7-block cycle under 3 s CPU");
   std::printf("%12s %8s", "blocks", "jobs");
   for (const FleetConfig& c : kFleetConfigs) {
@@ -344,13 +319,12 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
     point.jobs = size.jobs;
     point.blocks_per_job = size.blocks_per_job;
     point.blocks = size.jobs * size.blocks_per_job;
-    uint64_t baseline_fp = 0;
+    uint64_t unsharded_fp = 0;
     int last_groups = 0;
     for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
       ControllerAlgorithmOptions options;
       options.num_threads = 4;
       options.num_shards = kFleetConfigs[ci].num_shards;
-      options.split_contended = kFleetConfigs[ci].split_contended;
       ControllerAlgorithm algorithm(&topo, &routing, options);
       uint64_t fp = 0;
       for (int r = 0; r < reps; ++r) {
@@ -379,9 +353,9 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
         point.transfers = static_cast<int64_t>(decision.transfers.size());
       }
       if (ci == 0) {
-        baseline_fp = fp;
-      } else if (!kFleetConfigs[ci].split_contended) {
-        BDS_CHECK_MSG(fp == baseline_fp, "shard count changed the cycle decision");
+        unsharded_fp = fp;
+      } else {
+        BDS_CHECK_MSG(fp == unsharded_fp, "shard count changed the cycle decision");
       }
       last_groups = point.shard_groups[ci];
     }
@@ -399,8 +373,8 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
 // ---------------------------------------------------------------------------
 // Steady-cycles mode: N consecutive Decide() cycles on one long-lived
 // controller + replica state with ~5% job churn between cycles, everything
-// on (4 threads, 4 shards, incremental candidates, FPTAS warm start,
-// contended-group splitting). This is the workload the cross-cycle caches
+// on (4 threads, 4 shards, incremental candidates, FPTAS warm start). This
+// is the workload the cross-cycle caches
 // (DESIGN.md §9.7) exist for: the first cycle runs cold, every later cycle
 // re-prices only the churned slice of the candidate array and warm-starts
 // the routing FPTAS. The acceptance target is the amortized warm-cycle CPU
@@ -463,7 +437,6 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   options.num_threads = 4;
   options.num_shards = 4;
   options.warm_start = true;
-  options.split_contended = true;
   ControllerAlgorithm algorithm(&topo, &routing, options);
 
   SteadyCyclesStats stats;
@@ -552,7 +525,7 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
                bds::telemetry::Enabled() ? "true" : "false");
   std::fprintf(f, "  \"flight_recorder_enabled\": %s,\n",
                bds::telemetry::FlightRecorder::Global().active() ? "true" : "false");
-  // The ablation and fleet sweeps time cold single-cycle decisions; warm
+  // The parallelism and fleet sweeps time cold single-cycle decisions; warm
   // start only applies in the steady_cycles section, which carries its own
   // stamp. Regression checks require this header stamp to match between
   // baseline and fresh runs.
@@ -568,7 +541,7 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
     std::fprintf(f, "%s\"%s\": %d", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
                  kSweepConfigs[ci].num_shards);
   }
-  for (size_t ci = 1; ci < std::size(kFleetConfigs); ++ci) {
+  for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
     std::fprintf(f, ", \"%s\": %d", kFleetConfigs[ci].name, kFleetConfigs[ci].num_shards);
   }
   std::fprintf(f, "},\n  \"points\": [\n");
@@ -624,8 +597,7 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
   std::fprintf(f,
                "  \"steady_cycles\": {\"jobs\": %lld, \"blocks_per_job\": %lld, "
                "\"blocks\": %lld, \"cycles\": %d, \"churn_jobs\": %lld, "
-               "\"num_threads\": %d, \"num_shards\": %d, \"warm_start\": true, "
-               "\"split_contended\": true,\n",
+               "\"num_threads\": %d, \"num_shards\": %d, \"warm_start\": true,\n",
                static_cast<long long>(steady.jobs), static_cast<long long>(steady.blocks_per_job),
                static_cast<long long>(steady.blocks), steady.cycles,
                static_cast<long long>(steady.churn_jobs), steady.num_threads, steady.num_shards);

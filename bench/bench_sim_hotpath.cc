@@ -221,7 +221,11 @@ OverheadPoint MeasureTelemetryOverhead(bool smoke) {
   const int clusters = ClustersFor(num_flows);
   ClusterNet net = BuildClusters(clusters);
   std::vector<FlowSpec> specs = MakeWorkload(num_flows, clusters);
-  const int reps = smoke ? 9 : 11;
+  // Single pair ratios spread over 0.87-1.18 in one otherwise idle smoke run
+  // on a 4-vCPU VM (wider under a parallel test run), so the Q1 gate
+  // statistic below needs a few dozen pairs to hold still: with nine, two
+  // noisy pairs move it past the bound.
+  const int reps = smoke ? 25 : 31;
 
   // Mirrors the controller's Run()-entry wiring: tagged flows, an observer
   // that filters on tag2, resolves the owning transfer, and journals the

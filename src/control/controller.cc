@@ -176,6 +176,20 @@ Status BdsController::SubmitJob(const MulticastJob& job) {
   return Status::Ok();
 }
 
+namespace {
+
+// Inserts `event` after every pending event at or before its time, so
+// events at equal times apply in submission order; `first_pending` events
+// have already been applied and stay put.
+template <typename Event>
+void InsertByTime(std::vector<Event>& events, size_t first_pending, const Event& event) {
+  auto pos = std::upper_bound(events.begin() + static_cast<long>(first_pending), events.end(),
+                              event.at, [](SimTime t, const Event& e) { return t < e.at; });
+  events.insert(pos, event);
+}
+
+}  // namespace
+
 Status BdsController::ValidateFailureEvent(ServerId server, SimTime at, bool recovery) const {
   if (server < 0 || server >= topo_->num_servers()) {
     return InvalidArgumentError("failure script: no such server");
@@ -183,19 +197,15 @@ Status BdsController::ValidateFailureEvent(ServerId server, SimTime at, bool rec
   if (at < 0.0) {
     return InvalidArgumentError("failure script: event time is negative");
   }
-  // Replay every already-scheduled event for this server up to `at` to find
-  // whether it would be up or down when the new event fires.
-  std::vector<std::pair<SimTime, bool>> events;  // (time, recovery)
-  for (const ServerFailure& f : failures_) {
-    if (f.server == server && f.at <= at + kFluidEpsilon) {
-      events.emplace_back(f.at, f.recovery);
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // The server's state when the new event fires is set by the last of its
+  // events at or before `at`.
   bool down = false;
-  for (const auto& [t, rec] : events) {
-    down = !rec;
+  if (static_cast<size_t>(server) < server_scripts_.size()) {
+    const auto& script = server_scripts_[static_cast<size_t>(server)];
+    auto last = std::upper_bound(
+        script.begin(), script.end(), at + kFluidEpsilon,
+        [](SimTime t, const std::pair<SimTime, bool>& e) { return t < e.first; });
+    down = last != script.begin() && !std::prev(last)->second;
   }
   if (!recovery && down) {
     return FailedPreconditionError("failure script: server is already failed at that time");
@@ -208,18 +218,24 @@ Status BdsController::ValidateFailureEvent(ServerId server, SimTime at, bool rec
 }
 
 Status BdsController::ScheduleServerFailure(ServerId server, SimTime at) {
-  BDS_RETURN_IF_ERROR(ValidateFailureEvent(server, at, /*recovery=*/false));
-  failures_.push_back(ServerFailure{server, at, /*recovery=*/false});
-  std::sort(failures_.begin() + static_cast<long>(next_failure_), failures_.end(),
-            [](const ServerFailure& a, const ServerFailure& b) { return a.at < b.at; });
-  return Status::Ok();
+  return ScheduleServerEvent(server, at, /*recovery=*/false);
 }
 
 Status BdsController::ScheduleServerRecovery(ServerId server, SimTime at) {
-  BDS_RETURN_IF_ERROR(ValidateFailureEvent(server, at, /*recovery=*/true));
-  failures_.push_back(ServerFailure{server, at, /*recovery=*/true});
-  std::sort(failures_.begin() + static_cast<long>(next_failure_), failures_.end(),
-            [](const ServerFailure& a, const ServerFailure& b) { return a.at < b.at; });
+  return ScheduleServerEvent(server, at, /*recovery=*/true);
+}
+
+Status BdsController::ScheduleServerEvent(ServerId server, SimTime at, bool recovery) {
+  BDS_RETURN_IF_ERROR(ValidateFailureEvent(server, at, recovery));
+  InsertByTime(failures_, next_failure_, ServerFailure{server, at, recovery});
+  if (static_cast<size_t>(server) >= server_scripts_.size()) {
+    server_scripts_.resize(static_cast<size_t>(server) + 1);
+  }
+  auto& script = server_scripts_[static_cast<size_t>(server)];
+  auto pos = std::upper_bound(
+      script.begin(), script.end(), at,
+      [](SimTime t, const std::pair<SimTime, bool>& e) { return t < e.first; });
+  script.insert(pos, {at, recovery});
   return Status::Ok();
 }
 
@@ -241,10 +257,8 @@ Status BdsController::ScheduleReplicaFailure(int replica, SimTime at) {
   if (at < 0.0) {
     return InvalidArgumentError("failure script: event time is negative");
   }
-  replica_events_.push_back(ReplicaEvent{replica, at, /*recovery=*/false});
-  std::sort(replica_events_.begin() + static_cast<long>(next_replica_event_),
-            replica_events_.end(),
-            [](const ReplicaEvent& a, const ReplicaEvent& b) { return a.at < b.at; });
+  InsertByTime(replica_events_, next_replica_event_,
+               ReplicaEvent{replica, at, /*recovery=*/false});
   return Status::Ok();
 }
 
@@ -255,10 +269,8 @@ Status BdsController::ScheduleReplicaRecovery(int replica, SimTime at) {
   if (at < 0.0) {
     return InvalidArgumentError("failure script: event time is negative");
   }
-  replica_events_.push_back(ReplicaEvent{replica, at, /*recovery=*/true});
-  std::sort(replica_events_.begin() + static_cast<long>(next_replica_event_),
-            replica_events_.end(),
-            [](const ReplicaEvent& a, const ReplicaEvent& b) { return a.at < b.at; });
+  InsertByTime(replica_events_, next_replica_event_,
+               ReplicaEvent{replica, at, /*recovery=*/true});
   return Status::Ok();
 }
 

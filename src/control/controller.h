@@ -179,6 +179,7 @@ class BdsController {
   Status SubmitJob(const MulticastJob& job);
 
   // --- Failure script (applied as simulated time passes). ---
+  // Events apply in time order, equal times in submission order.
   // Rejects malformed scripts: unknown servers, failing an already-failed
   // server, recovering a server that was never failed (as of the scheduled
   // time), and inverted outage windows.
@@ -187,7 +188,8 @@ class BdsController {
   Status ScheduleControllerOutage(SimTime from, SimTime to);
   // Individual controller-replica fail/recover events (the replica set
   // handles master election and failover delay; a headless window behaves
-  // like a controller outage). Events apply in scheduled order.
+  // like a controller outage). Events apply in time order, equal times in
+  // submission order.
   Status ScheduleReplicaFailure(int replica, SimTime at);
   Status ScheduleReplicaRecovery(int replica, SimTime at);
 
@@ -272,9 +274,10 @@ class BdsController {
   // and kills transfers crossing hard-down links (cancel-and-credit for
   // centralized ones, requeue for fallback downloads).
   void ApplyLinkFaults(SimTime now);
-  // Replays the server failure/recovery script up to `at` to decide whether
-  // a new event for `server` is consistent.
+  // Checks a new failure/recovery event for `server` against that server's
+  // own script: whether it would be up or down when the event fires.
   Status ValidateFailureEvent(ServerId server, SimTime at, bool recovery) const;
+  Status ScheduleServerEvent(ServerId server, SimTime at, bool recovery);
   bool ControllerUp(SimTime now);
   // Flushes agent status reports into the controller's view state; reports
   // from DCs whose report was lost this cycle stay buffered (stale view).
@@ -321,8 +324,12 @@ class BdsController {
   size_t next_arrival_ = 0;
   int64_t jobs_submitted_ = 0;
 
-  std::vector<ServerFailure> failures_;  // Sorted by time.
+  // Sorted by time; equal times in submission order.
+  std::vector<ServerFailure> failures_;
   size_t next_failure_ = 0;
+  // Per-server copy of the script as (time, recovery), same order; indexed
+  // by ServerId, grown on demand. Validation reads only the one server's.
+  std::vector<std::vector<std::pair<SimTime, bool>>> server_scripts_;
   std::vector<Outage> outages_;
   bool fallback_was_active_ = false;
 
@@ -353,7 +360,8 @@ class BdsController {
   std::deque<MulticastJob> deferred_jobs_;
   int64_t deferred_deliveries_ = 0;
 
-  std::vector<ReplicaEvent> replica_events_;  // Sorted by time.
+  // Sorted by time; equal times in submission order.
+  std::vector<ReplicaEvent> replica_events_;
   size_t next_replica_event_ = 0;
 
   bool retire_completed_ = false;

@@ -1,10 +1,14 @@
 #include "src/lp/mcf.h"
 
+#include <ctime>
+
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <atomic>
+#include <numeric>
+#include <span>
 #include <utility>
 
+#include "src/common/parallel.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/lp/lp_problem.h"
@@ -94,137 +98,92 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
   return result;
 }
 
-McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
-  BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
-  BDS_TIMED_SCOPE("fptas.reference");
-  McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
-  const FlatMcf flat = FlattenMcf(instance);
-  const std::vector<double>& cap = flat.cap;
-  const std::vector<FlatPath>& paths = flat.paths;
-  result.ok = true;
-  if (paths.empty()) {
-    return result;  // Nothing can flow.
+namespace {
+
+double ProcessCpuSeconds() {
+  timespec ts;
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) {
+    return 0.0;
   }
-
-  const size_t num_edges = flat.num_edges();
-  const double delta = mcf_internal::FptasDelta(flat, epsilon);
-  // Only for the shared component tables, certificate and finalize.
-  const FptasWorkspace ws(flat, epsilon);
-  std::vector<double> length(num_edges);
-  for (size_t l = 0; l < num_edges; ++l) {
-    length[l] = delta / cap[l];
-  }
-  std::vector<double> raw_flow(paths.size(), 0.0);
-
-  auto path_length = [&](const FlatPath& p) {
-    double s = 0.0;
-    for (int l : p.links) {
-      s += length[static_cast<size_t>(l)];
-    }
-    return s;
-  };
-
-  // Fleischer's phase structure [17]: instead of a global shortest-path
-  // search per push (Garg-Koenemann), iterate the commodities round-robin
-  // against a threshold alpha that grows by (1 + eps) per phase. A
-  // commodity keeps pushing along its cheapest path while that path is
-  // shorter than min(1, alpha * (1 + eps)); when every commodity's cheapest
-  // path reaches 1 the algorithm stops. A link-sharing component also stops
-  // once its certificate holds (checked at the end of phases 1, 2, 4, ...).
-  const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
-  int64_t pushes = 0;
-  int64_t phases = 0;
-  mcf_internal::FptasCertifier certifier(flat, ws, epsilon);
-  std::vector<uint8_t> stopped(ws.num_components, 0);
-  size_t num_stopped = 0;
-  int64_t cert_checks = 0;
-  double alpha = delta * static_cast<double>(flat.max_len);
-  while (alpha < 1.0 && pushes < max_pushes && num_stopped < ws.num_components) {
-    ++phases;
-    double threshold = std::min(1.0, alpha * (1.0 + epsilon));
-    for (size_t c = 0; c < flat.commodity_paths.size() && pushes < max_pushes; ++c) {
-      if (ws.com_component[c] >= 0 && stopped[static_cast<size_t>(ws.com_component[c])]) {
-        continue;  // Certified: its component pushes no more.
-      }
-      for (;;) {
-        // Cheapest of this commodity's paths.
-        int best = -1;
-        double best_len = threshold;
-        for (int pi : flat.commodity_paths[c]) {
-          double len = path_length(paths[static_cast<size_t>(pi)]);
-          if (len < best_len) {
-            best_len = len;
-            best = pi;
-          }
-        }
-        if (best < 0) {
-          break;  // Nothing under the threshold; next commodity.
-        }
-        const FlatPath& p = paths[static_cast<size_t>(best)];
-        double bottleneck = std::numeric_limits<double>::infinity();
-        for (int l : p.links) {
-          bottleneck = std::min(bottleneck, cap[static_cast<size_t>(l)]);
-        }
-        raw_flow[static_cast<size_t>(best)] += bottleneck;
-        for (int l : p.links) {
-          length[static_cast<size_t>(l)] *=
-              1.0 + epsilon * bottleneck / cap[static_cast<size_t>(l)];
-        }
-        if (++pushes >= max_pushes) {
-          break;
-        }
-      }
-    }
-    if (mcf_internal::IsCertCheckPhase(phases) && pushes < max_pushes) {
-      for (size_t k = 0; k < ws.num_components; ++k) {
-        if (stopped[k]) {
-          continue;
-        }
-        ++cert_checks;
-        if (certifier.Check(ws.ComponentCommodities(k), phases, length.data(), raw_flow.data())
-                .certified) {
-          stopped[k] = 1;
-          ++num_stopped;
-        }
-      }
-    }
-    alpha *= 1.0 + epsilon;
-  }
-
-  BDS_TELEMETRY_COUNT("fptas.reference.solves", 1);
-  BDS_TELEMETRY_COUNT("fptas.reference.pushes", pushes);
-  BDS_TELEMETRY_COUNT("fptas.reference.phases", phases);
-  BDS_TELEMETRY_COUNT("fptas.reference.cert_checks", cert_checks);
-  BDS_TELEMETRY_COUNT("fptas.reference.certified_stops", static_cast<int64_t>(num_stopped));
-  telemetry::TraceInstant("fptas.reference", "lp",
-                          {{"commodities", static_cast<double>(flat.commodity_paths.size())},
-                           {"paths", static_cast<double>(paths.size())},
-                           {"pushes", static_cast<double>(pushes)},
-                           {"phases", static_cast<double>(phases)}});
-  mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
-  return result;
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-// The tuned solver: Fleischer's phase structure over a flat CSR form with
-// incrementally maintained lower bounds. The loop itself lives in
-// mcf_internal::RunFptasPushLoop, parameterized by the commodity subset it
-// may push for, so the sharded solver (mcf_shard.cc) runs the identical code
-// over link-disjoint subsets; here the subset is every commodity. The push
-// sequence — and therefore every per-path flow — is bit-identical to
-// SolveMcfFptasReference (see the parity property tests): when a commodity
-// IS consulted, its path lengths are recomputed by fresh scans in link order
-// (the identical floating-point sums), the structured-shape fast kinds only
-// reorder provably-equal arithmetic (sentinel adds of 0.0, hoisted shared
-// loads, lengths held in registers across a run of pushes), and the cached
-// minimum only skips scans whose outcome is proved.
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
-  return SolveMcfFptas(instance, epsilon, nullptr, nullptr);
+std::vector<int32_t> AllCommodities(const FlatMcf& flat) {
+  std::vector<int32_t> all;
+  all.reserve(flat.commodity_paths.size());
+  for (size_t c = 0; c < flat.commodity_paths.size(); ++c) {
+    if (!flat.commodity_paths[c].empty()) {
+      all.push_back(static_cast<int32_t>(c));
+    }
+  }
+  return all;
 }
 
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWarmSeed* warm,
+struct Group {
+  std::vector<int32_t> commodities;  // Ascending global ids.
+  int64_t weight = 0;                // Total path-link count (work proxy).
+};
+
+// Packs the workspace's link-sharing components into at most `num_shards`
+// groups: components by (weight desc, component index asc) onto the
+// currently lightest group (ties to the lowest index). Commodities never
+// sharing an edge, directly or transitively, cannot influence each other's
+// lengths, so their push loops commute — the parity seam.
+std::vector<Group> PackComponents(const FlatMcf& flat, const FptasWorkspace& ws,
+                                  int num_shards) {
+  std::vector<int64_t> com_weight(flat.commodity_paths.size(), 0);
+  for (const FlatPath& p : flat.paths) {
+    com_weight[static_cast<size_t>(p.commodity)] += static_cast<int64_t>(p.links.size());
+  }
+  const size_t num_components = ws.num_components;
+  std::vector<int64_t> comp_weight(num_components, 0);
+  for (size_t k = 0; k < num_components; ++k) {
+    for (int32_t c : ws.ComponentCommodities(k)) {
+      comp_weight[k] += com_weight[static_cast<size_t>(c)];
+    }
+  }
+  std::vector<Group> groups(static_cast<size_t>(
+      std::max(1, std::min<int>(num_shards, static_cast<int>(num_components)))));
+  std::vector<size_t> order(num_components);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (comp_weight[a] != comp_weight[b]) {
+      return comp_weight[a] > comp_weight[b];
+    }
+    return a < b;
+  });
+  for (size_t k : order) {
+    size_t lightest = 0;
+    for (size_t g = 1; g < groups.size(); ++g) {
+      if (groups[g].weight < groups[lightest].weight) {
+        lightest = g;
+      }
+    }
+    const std::span<const int32_t> coms = ws.ComponentCommodities(k);
+    groups[lightest].commodities.insert(groups[lightest].commodities.end(), coms.begin(),
+                                        coms.end());
+    groups[lightest].weight += comp_weight[k];
+  }
+  // The push loop consults a group's commodities in list order; ascending
+  // ids reproduce the one-group round-robin order within the group.
+  for (Group& g : groups) {
+    std::sort(g.commodities.begin(), g.commodities.end());
+  }
+  return groups;
+}
+
+}  // namespace
+
+McfResult SolveMcfFptas(const McfInstance& instance, double epsilon,
+                        const McfShardOptions& options, ParallelRunner* pool,
+                        McfShardStats* stats, const McfWarmSeed* warm,
                         McfWarmInfo* warm_info) {
   BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
+  BDS_CHECK_MSG(options.num_shards >= 1, "num_shards must be >= 1");
   BDS_TIMED_SCOPE("fptas.solve");
+  McfShardStats local_stats;
+  McfShardStats& st = stats != nullptr ? *stats : local_stats;
+  st = McfShardStats{};
   if (warm_info != nullptr) {
     *warm_info = McfWarmInfo{};
   }
@@ -235,20 +194,25 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
     return result;  // Nothing can flow.
   }
 
-  const size_t num_edges = flat.num_edges();
+  // Every derived constant (delta, the alpha ladder, the push budget, the
+  // workspace tables and components) comes from the GLOBAL flat instance,
+  // so every group walks the trajectory the one-group loop would.
   const double delta = mcf_internal::FptasDelta(flat, epsilon);
+  const int64_t max_pushes = options.max_pushes_override > 0
+                                 ? options.max_pushes_override
+                                 : mcf_internal::MaxPushes(flat, epsilon, delta);
   const FptasWorkspace ws(flat, epsilon);
-  // One slot past the real edges is the sentinel padding edge: length 0.0,
-  // never multiplied by a real factor, used by the workspace's unrolled scans.
-  std::vector<double> length;
-  std::vector<double> raw_flow;
+  st.num_components = static_cast<int>(ws.num_components);
+
+  // Starting state: cold lengths delta / cap and zero raw flow, or the warm
+  // seed computed once from the global instance. One slot past the real
+  // edges is the sentinel padding edge: length 0.0, never multiplied by a
+  // real factor, used by the workspace's unrolled scans.
+  const bool use_warm = warm != nullptr && !warm->empty();
   mcf_internal::FptasWarmState wstate;
   mcf_internal::FptasLoopControl control;
-  const bool use_warm = warm != nullptr && !warm->empty();
   if (use_warm) {
     wstate = mcf_internal::SeedFptasWarmState(instance, flat, ws, epsilon, delta, *warm);
-    length = std::move(wstate.length);
-    raw_flow = std::move(wstate.raw_flow);
     control.alpha_start = wstate.alpha_start;
     control.cached_min_seed = &wstate.cached_min;
     if (warm_info != nullptr) {
@@ -256,30 +220,118 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
       warm_info->seeded_commodities = wstate.seeded_commodities;
       warm_info->phases_skipped = wstate.phases_skipped;
     }
-  } else {
-    length.assign(num_edges + 1, 0.0);
-    for (size_t l = 0; l < num_edges; ++l) {
+  }
+  auto init_length = [&](std::vector<double>& length) {
+    if (use_warm) {
+      length = wstate.length;
+      return;
+    }
+    length.assign(ws.num_edges + 1, 0.0);
+    for (size_t l = 0; l < ws.num_edges; ++l) {
       length[l] = delta / flat.cap[l];
     }
-    raw_flow.assign(ws.num_paths, 0.0);
-  }
+  };
+  auto init_raw_flow = [&](std::vector<double>& raw_flow) {
+    if (use_warm) {
+      raw_flow = wstate.raw_flow;
+    } else {
+      raw_flow.assign(ws.num_paths, 0.0);
+    }
+  };
+  // One serial loop over every commodity: the whole solve with one shard,
+  // and the wedge re-run with several.
+  auto run_serial = [&](std::vector<double>& raw_flow) {
+    std::vector<double> length;
+    init_length(length);
+    init_raw_flow(raw_flow);
+    return mcf_internal::RunFptasPushLoop(flat, ws, epsilon, delta, max_pushes,
+                                          AllCommodities(flat), length, raw_flow, &control);
+  };
 
-  std::vector<int32_t> all_commodities(ws.num_commodities);
-  for (size_t c = 0; c < ws.num_commodities; ++c) {
-    all_commodities[c] = static_cast<int32_t>(c);
+  std::vector<double> raw_flow;
+  mcf_internal::FptasLoopStats loop;
+  if (options.num_shards == 1) {
+    loop = run_serial(raw_flow);
+    st.num_groups = 1;
+  } else {
+    const std::vector<Group> groups = PackComponents(flat, ws, options.num_shards);
+    st.num_groups = static_cast<int>(groups.size());
+    init_raw_flow(raw_flow);
+    // Cross-group advisory budget: once the groups' summed pushes reach the
+    // global cap the run is wedged (the deterministic predicate checked
+    // after the join below), its result will be discarded, and the
+    // remaining groups only burn CPU — so they may abort early. The abort
+    // can only fire when the predicate is already guaranteed true, so
+    // results never depend on its timing (see FptasLoopControl).
+    std::atomic<int64_t> shared_pushes{0};
+    std::vector<mcf_internal::FptasLoopStats> group_stats(groups.size());
+    auto solve_group = [&](size_t begin, size_t end) {
+      for (size_t g = begin; g < end; ++g) {
+        // A private length vector per group: the group's commodities are
+        // link-disjoint from every other group's, so the entries it reads
+        // evolve exactly as in the one-group run.
+        std::vector<double> length;
+        init_length(length);
+        mcf_internal::FptasLoopControl group_control = control;
+        if (groups.size() > 1) {
+          group_control.shared_pushes = &shared_pushes;
+          group_control.shared_max_pushes = max_pushes;
+        }
+        group_stats[g] = mcf_internal::RunFptasPushLoop(
+            flat, ws, epsilon, delta, max_pushes, groups[g].commodities, length, raw_flow,
+            &group_control);
+      }
+    };
+    if (pool != nullptr && pool->num_threads() > 1 && groups.size() > 1) {
+      std::vector<int64_t> weights(groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        weights[g] = groups[g].weight;
+      }
+      pool->ForWeighted(weights, solve_group);
+    } else {
+      solve_group(0, groups.size());
+    }
+    for (const mcf_internal::FptasLoopStats& gs : group_stats) {
+      loop.pushes += gs.pushes;
+      loop.phases = std::max(loop.phases, gs.phases);
+      loop.bound_skips += gs.bound_skips;
+      loop.commodities_retired += gs.commodities_retired;
+      loop.cert_checks += gs.cert_checks;
+      loop.certified_stops += gs.certified_stops;
+    }
+    // Wedge re-run: the push budget is counted per group, so a multi-group
+    // run whose SUMMED pushes reach the global cap may have cut off at
+    // different pushes than the one-group loop would. Such runs are redone
+    // as that loop, bit for bit. Never taken outside adversarial inputs or
+    // a tiny max_pushes_override.
+    if (groups.size() > 1 && loop.pushes >= max_pushes) {
+      st.wedge_rerun = true;
+      loop = run_serial(raw_flow);
+    }
   }
-  const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
-  mcf_internal::FptasLoopStats stats =
-      mcf_internal::RunFptasPushLoop(flat, ws, epsilon, delta, max_pushes, all_commodities,
-                                     length, raw_flow, use_warm ? &control : nullptr);
+  st.pushes = loop.pushes;
+
+  const double t_merge = options.num_shards > 1 ? ProcessCpuSeconds() : 0.0;
+  // The merge: one finalize over the combined raw flow — normalize each
+  // component by its worst edge utilization, then the two greedy
+  // augmentation rounds in path order.
+  mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
+  if (options.num_shards > 1) {
+    st.merge_seconds = ProcessCpuSeconds() - t_merge;
+  }
 
   BDS_TELEMETRY_COUNT("fptas.solves", 1);
-  BDS_TELEMETRY_COUNT("fptas.pushes", stats.pushes);
-  BDS_TELEMETRY_COUNT("fptas.phases", stats.phases);
-  BDS_TELEMETRY_COUNT("fptas.bound_skips", stats.bound_skips);
-  BDS_TELEMETRY_COUNT("fptas.commodities_retired", stats.commodities_retired);
-  BDS_TELEMETRY_COUNT("fptas.cert_checks", stats.cert_checks);
-  BDS_TELEMETRY_COUNT("fptas.certified_stops", stats.certified_stops);
+  BDS_TELEMETRY_COUNT("fptas.pushes", loop.pushes);
+  BDS_TELEMETRY_COUNT("fptas.phases", loop.phases);
+  BDS_TELEMETRY_COUNT("fptas.bound_skips", loop.bound_skips);
+  BDS_TELEMETRY_COUNT("fptas.commodities_retired", loop.commodities_retired);
+  BDS_TELEMETRY_COUNT("fptas.cert_checks", loop.cert_checks);
+  BDS_TELEMETRY_COUNT("fptas.certified_stops", loop.certified_stops);
+  BDS_TELEMETRY_COUNT("fptas.groups", st.num_groups);
+  BDS_TELEMETRY_COUNT("fptas.components", st.num_components);
+  if (st.wedge_rerun) {
+    BDS_TELEMETRY_COUNT("fptas.wedge_reruns", 1);
+  }
   if (use_warm) {
     BDS_TELEMETRY_COUNT("fptas.warm.solves", 1);
     BDS_TELEMETRY_COUNT("fptas.warm.seeded_commodities", wstate.seeded_commodities);
@@ -288,9 +340,9 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
   telemetry::TraceInstant("fptas.solve", "lp",
                           {{"commodities", static_cast<double>(ws.num_commodities)},
                            {"paths", static_cast<double>(ws.num_paths)},
-                           {"pushes", static_cast<double>(stats.pushes)},
-                           {"phases", static_cast<double>(stats.phases)}});
-  mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
+                           {"groups", static_cast<double>(st.num_groups)},
+                           {"pushes", static_cast<double>(loop.pushes)},
+                           {"phases", static_cast<double>(loop.phases)}});
   return result;
 }
 

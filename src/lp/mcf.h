@@ -22,6 +22,8 @@
 
 namespace bds {
 
+class ParallelRunner;
+
 struct McfPath {
   // Indices into McfInstance::capacities.
   std::vector<int> links;
@@ -56,43 +58,16 @@ struct McfResult {
 // as instances grow; intended for verification and Fig 13a's baseline curve.
 McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& options = {});
 
-// Garg–Könemann FPTAS: total flow >= (1 - epsilon) * optimum, capacities and
-// demands respected exactly. epsilon in (0, 0.5].
-//
-// Certified early stop: commodities couple only through shared links, so
-// each link-sharing component runs its own Fleischer ladder. At the end of
-// phases 1, 2, 4, 8, ... a component whose finalized flow is provably
-// within 1/(1 + epsilon/10) of its optimum stops pushing. The proof is weak
-// duality: the current edge lengths, scaled by one free factor s, plus one
-// dual variable per commodity demand, form a feasible dual whose value
-// bounds the component's optimum from above. A component that never
-// certifies runs the full ladder. The finalize normalizes each component
-// by its own maximum edge congestion (no theoretical scale factor) and tops
-// paths up with two greedy rounds, so the returned flow is feasible and
-// maximal either way.
-//
-// The default solver runs Fleischer's phase structure over a flat CSR form
-// with incrementally maintained lower bounds: path links, per-link weight
-// factors, and bottleneck capacities are precomputed once; commodities whose
-// paths share endpoint links (the controller's universal shape) get
-// branch-free unrolled scans and a post-push last-link bound that skips the
-// confirmation rescan; a per-commodity cached minimum retires or skips
-// commodities whole phases at a time. The push sequence — and therefore
-// every per-path flow — is bit-identical to SolveMcfFptasReference (see the
-// parity property tests).
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1);
-
-// Warm-start seed for the FPTAS solvers: a previous solve's *finalized*
+// Warm-start seed for the FPTAS: a previous solve's *finalized*
 // per-commodity path flows, re-mapped by the caller onto the CURRENT
 // instance's commodity and path indexing. flows[c] empty (or the whole
 // vector shorter than c) means "no seed for commodity c"; flows larger than
 // a commodity's current demand are clamped proportionally by the seeder.
 //
 // Warm solves obey the relaxed-parity contract (DESIGN.md §9.7): the result
-// is feasible, deterministic for any thread count (and, without
-// split_contended, bitwise-invariant to the shard count), and the objective
-// stays within (1 + epsilon) of the cold solve's — but it is NOT bitwise
-// equal to the cold solve.
+// is feasible, deterministic and bitwise-invariant to the shard and thread
+// counts, and the objective stays within (1 + epsilon) of the cold solve's
+// — but it is NOT bitwise equal to the cold solve.
 struct McfWarmSeed {
   std::vector<std::vector<double>> flows;
 
@@ -106,19 +81,73 @@ struct McfWarmInfo {
   int64_t phases_skipped = 0;       // Alpha phases provably without pushes.
 };
 
-// Warm-start overload: seeds the multiplicative-weights state (raw flow,
-// edge lengths, per-commodity minima) from `warm` and fast-forwards the
-// alpha ladder past phases that provably push nothing. warm == nullptr or an
-// empty seed degenerates to the cold solver above, bit for bit.
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon,
-                        const McfWarmSeed* warm, McfWarmInfo* warm_info = nullptr);
+struct McfShardOptions {
+  // Upper bound on the link-disjoint commodity groups solved in parallel.
+  int num_shards = 1;
+  // Test seam: replaces the MaxPushes-derived push budget when > 0, forcing
+  // the wedge path on small instances. 0 = the real budget.
+  int64_t max_pushes_override = 0;
+};
 
-// The original straightforward Fleischer loop (full rescan of a commodity's
-// path lengths per push, every uncertified commodity visited every phase).
-// Retained as the ground truth the incremental solver must match exactly:
-// it shares the certificate and stops each component at the same phase.
-// Used by the parity property tests and the bench ablation.
-McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon = 0.1);
+struct McfShardStats {
+  int num_components = 0;    // Link-sharing components found.
+  int num_groups = 0;        // Groups actually solved (<= num_shards).
+  // The summed group pushes reached the global budget, so the sharded run
+  // was discarded and redone as one serial loop (bitwise equal to the
+  // one-group solve's wedged run).
+  bool wedge_rerun = false;
+  int64_t pushes = 0;        // Summed over groups (final run if rerun).
+  // CPU time in the global finalize (the merge). Measured only with more
+  // than one shard; 0 otherwise.
+  double merge_seconds = 0.0;
+};
+
+// Garg–Könemann FPTAS in Fleischer's phase form: total flow >= (1 - epsilon)
+// * optimum, capacities and demands respected exactly. epsilon in (0, 0.5].
+//
+// Certified early stop: commodities couple only through shared links, so
+// each link-sharing component runs its own Fleischer ladder. At the end of
+// phases 1, 2, 4, 8, ... a component whose finalized flow is provably
+// within 1/(1 + epsilon/10) of its optimum stops pushing. The proof is weak
+// duality: the current edge lengths, scaled by one free factor s, plus one
+// dual variable per commodity demand, form a feasible dual whose value
+// bounds the component's optimum from above. A component that never
+// certifies runs the full ladder. The finalize normalizes each component
+// by its own maximum edge congestion (no theoretical scale factor) and tops
+// paths up with two greedy rounds, so the returned flow is feasible and
+// maximal either way.
+//
+// The loop (mcf_internal::RunFptasPushLoop) runs over a flat CSR form with
+// incrementally maintained lower bounds: path links, per-link weight
+// factors, and bottleneck capacities are precomputed once; commodities whose
+// paths share endpoint links (the controller's universal shape) get
+// branch-free unrolled scans and a post-push last-link bound that skips the
+// confirmation rescan; a per-commodity cached minimum retires or skips
+// commodities whole phases at a time. The push sequence — and therefore
+// every per-path flow — is bit-identical to the straightforward Fleischer
+// loop kept as the test oracle (tests/oracles/fptas_oracle.h).
+//
+// Sharding (options.num_shards > 1): the workspace's link-sharing
+// components are packed into at most num_shards groups (largest weight
+// first onto the lightest group, ties to the lowest index; each group's
+// commodities ascending), and each group runs the push loop on `pool`
+// against a private copy of the lengths and the GLOBAL instance's constants
+// (delta, alpha ladder, push budget). Groups are link-disjoint, so their
+// pushes are exactly the one-group loop's; one FinalizeFptas over the
+// combined raw flow is the merge. The result is therefore bit-identical for
+// ANY shard count and thread count. A run whose summed group pushes reach
+// the global budget (never observed outside adversarial inputs) is redone
+// as one serial loop, so even wedged runs match. With one shard the solve
+// is that serial loop, with no clock reads or extra allocations.
+//
+// `pool` may be null (serial); `stats` is optional. `warm` (optional) seeds
+// the multiplicative-weights state — raw flow, edge lengths, per-commodity
+// minima, and the alpha-ladder entry — once from the global instance (see
+// McfWarmSeed); null or an empty seed is the cold solve, bit for bit.
+McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1,
+                        const McfShardOptions& options = {}, ParallelRunner* pool = nullptr,
+                        McfShardStats* stats = nullptr, const McfWarmSeed* warm = nullptr,
+                        McfWarmInfo* warm_info = nullptr);
 
 // Validation helper shared by tests: largest relative link-capacity
 // violation of `result` against `instance` (0 = fully feasible).

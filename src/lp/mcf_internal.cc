@@ -519,7 +519,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   constexpr uint8_t kStructured = FptasWorkspace::kStructured;
 
   // cached_min is indexed by global commodity id so the loop body reads
-  // exactly like the unsharded solver's. 0.0 understates any real length and
+  // exactly like the one-group solve's. 0.0 understates any real length and
   // forces a first fresh scan; a warm start seeds the exact minima of the
   // seeded lengths instead (still a valid lower bound — lengths only grow).
   std::vector<double> cached_min;
@@ -537,51 +537,10 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     }
   }
 
-  // Certified early stop (see the header), per link-sharing component. The
-  // checked set is the component itself, except where this loop holds only
-  // part of it (a split_contended range): such a component gets a slice of
-  // this loop's commodities of it, ascending, in slice_coms.
+  // Certified early stop (see the header), per link-sharing component.
   const std::vector<int32_t>& com_component = ws.com_component;
   std::vector<int64_t> comp_checked(ws.num_components, 0);  // Phase of the last check.
   std::vector<uint8_t> comp_stopped(ws.num_components, 0);
-  std::vector<int32_t> comp_slice(ws.num_components, -1);
-  std::vector<int32_t> slice_off;
-  std::vector<int32_t> slice_coms;
-  {
-    std::vector<int32_t> held(ws.num_components, 0);  // This loop's commodities.
-    for (int32_t c : active) {
-      ++held[static_cast<size_t>(com_component[static_cast<size_t>(c)])];
-    }
-    std::vector<uint8_t> in_loop;
-    for (size_t k = 0; k < ws.num_components; ++k) {
-      const std::span<const int32_t> coms = ws.ComponentCommodities(k);
-      if (held[k] == 0 || held[k] == static_cast<int32_t>(coms.size())) {
-        continue;
-      }
-      if (in_loop.empty()) {
-        in_loop.assign(ws.num_commodities, 0);
-        for (int32_t c : active) {
-          in_loop[static_cast<size_t>(c)] = 1;
-        }
-        slice_off.push_back(0);
-      }
-      comp_slice[k] = static_cast<int32_t>(slice_off.size() - 1);
-      for (int32_t c : coms) {
-        if (in_loop[static_cast<size_t>(c)]) {
-          slice_coms.push_back(c);
-        }
-      }
-      slice_off.push_back(static_cast<int32_t>(slice_coms.size()));
-    }
-  }
-  auto checked_set = [&](size_t k) -> std::span<const int32_t> {
-    const int32_t s = comp_slice[k];
-    if (s < 0) {
-      return ws.ComponentCommodities(k);
-    }
-    return {slice_coms.data() + slice_off[static_cast<size_t>(s)],
-            slice_coms.data() + slice_off[static_cast<size_t>(s) + 1]};
-  };
   FptasCertifier certifier(flat, ws, epsilon);
   std::vector<FptasCertRecord>* cert_log = control != nullptr ? control->cert_log : nullptr;
   int64_t certified_commodities = 0;
@@ -859,7 +818,8 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
         }
         comp_checked[k] = stats.phases;
         const FptasCertRecord rec =
-            certifier.Check(checked_set(k), stats.phases, length.data(), raw_flow.data());
+            certifier.Check(ws.ComponentCommodities(k), stats.phases, length.data(),
+                            raw_flow.data());
         ++stats.cert_checks;
         if (cert_log != nullptr) {
           cert_log->push_back(rec);

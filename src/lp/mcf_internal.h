@@ -1,9 +1,10 @@
-// Shared internals of the Fleischer/Garg–Könemann FPTAS solvers.
+// Shared internals of the Fleischer/Garg–Könemann FPTAS.
 //
-// SolveMcfFptas, SolveMcfFptasReference, and SolveMcfFptasSharded all run the
-// same multiplicative-weights dynamics over the same flattened instance; this
-// header exposes the pieces they share so the sharded solver (mcf_shard.cc)
-// can be bit-compatible with the global one by construction:
+// SolveMcfFptas runs one push loop per link-disjoint commodity group, and
+// the test oracle (tests/oracles/fptas_oracle.h) runs the straightforward
+// loop; both use the same multiplicative-weights dynamics over the same
+// flattened instance. This header exposes the pieces they share so every
+// group, whatever the shard count, is bit-compatible by construction:
 //
 //  * FlatMcf / FlattenMcf — the flattened form (demands reduced to virtual
 //    edges, dead paths dropped). Every derived constant of the algorithm —
@@ -26,7 +27,7 @@
 //    optimum. The check reads only the component's own lengths and raw
 //    flow, so every solver stops a component at the same phase.
 //  * FinalizeFptas — per-component feasibility normalization + two greedy
-//    augmentation rounds. In the sharded solver this IS the merge step: it
+//    augmentation rounds. With several groups this IS the merge step: it
 //    enforces the capacity budget over the combined raw flow and rebalances
 //    slack, and it is a pure function of (flat, raw_flow) — order-
 //    independent of how the raw flow was produced.
@@ -158,9 +159,9 @@ struct FptasCertRecord {
 inline bool IsCertCheckPhase(int64_t phase) { return phase > 0 && (phase & (phase - 1)) == 0; }
 
 // Evaluates the early-stop certificate of a commodity set (ascending ids; a
-// whole component, except in split_contended ranges): its primal is the
-// set's current raw flow finalized exactly as FinalizeFptas finalizes a
-// component — for a whole component, what the solve will return — and its
+// whole component): its primal is the set's current raw flow finalized
+// exactly as FinalizeFptas finalizes a component — what the solve will
+// return — and its
 // bound is a weak-duality bound from the current lengths (DualBound below).
 // Owns the scratch buffers (allocated on first use); one instance per loop.
 class FptasCertifier {
@@ -254,33 +255,26 @@ FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& fl
                                   const McfWarmSeed& warm);
 
 // The tuned Fleischer phase loop over the commodities in `commodities`
-// (ascending global ids; commodities without paths are skipped). Reads and
-// multiplies `length` (size flat.num_edges() + 1; the last slot is the
-// sentinel padding edge and must be 0.0) and accumulates into `raw_flow`
-// (size flat.num_paths(); only the subset's paths are touched). delta and
-// max_pushes must come from the global flat (FptasDelta / MaxPushes).
+// (ascending global ids, a union of whole link-sharing components;
+// commodities without paths are skipped). Reads and multiplies `length`
+// (size flat.num_edges() + 1; the last slot is the sentinel padding edge
+// and must be 0.0) and accumulates into `raw_flow` (size flat.num_paths();
+// only the subset's paths are touched). delta and max_pushes must come from
+// the global flat (FptasDelta / MaxPushes).
 //
-// Certified early stop: at the end of phases 1, 2, 4, ... the loop checks,
-// per link-sharing component, the commodities of it that this loop pushes
-// for and that still have an active one; a certified set stops pushing. In
-// the unsharded and parity-sharded loops every such set is a whole
-// component, so the certificate bounds the component's finalized flow.
-// split_contended ranges cut components apart: a range then checks its own
-// slice against the full capacities, which certifies the slice's flow on
-// its own but nothing about the merged flow — the rule keeps split mode's
-// contract (deterministic, feasible after the merge normalization) and its
-// speed, not its quality.
+// Certified early stop: at the end of phases 1, 2, 4, ... the loop checks
+// every component that still has an active commodity; a certified
+// component stops pushing.
 //
 // Determinism/parity contract: with `commodities` = all commodities this is
-// exactly SolveMcfFptas's loop. With a strict subset whose paths are
-// link-disjoint from the complement's, the loop's pushes are bit-identical
-// to the corresponding pushes of the full run (the only state coupling
-// between commodities is shared link lengths, and a component's certificate
-// reads only its own state, so it stops at the same phase). max_pushes is
-// counted per call; the sharded solver detects a wedged run (summed group
+// the one-group solve. With a strict subset whose paths are link-disjoint
+// from the complement's, the loop's pushes are bit-identical to the
+// corresponding pushes of the full run (the only state coupling between
+// commodities is shared link lengths, and a component's certificate reads
+// only its own state, so it stops at the same phase). max_pushes is counted
+// per call; SolveMcfFptas detects a wedged multi-group run (summed group
 // pushes >= the global budget) after the join and redoes it as one serial
-// loop, so wedged results match the unsharded solver exactly (see DESIGN.md
-// §9.7).
+// loop, so wedged results match the one-group solve exactly.
 //
 // `control` may be null (cold loop, no shared budget); see FptasLoopControl.
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,

@@ -4,14 +4,12 @@
 #include <chrono>
 #include <ctime>
 #include <map>
-#include <queue>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/status.h"
 #include "src/lp/mcf.h"
-#include "src/lp/mcf_shard.h"
 #include "src/telemetry/telemetry.h"
 #include "src/topology/path.h"
 
@@ -245,31 +243,35 @@ void ControllerAlgorithm::BuildCandidates(int64_t cycle, const ReplicaState& sta
   BDS_TELEMETRY_COUNT("scheduler.cand_slots_repriced", decision.cand_slots_repriced);
 }
 
+std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleAll(
+    const ReplicaState& state, const DeliveryKeySet& in_flight) const {
+  std::vector<PendingDelivery> pending = state.PendingDeliveries();
+  std::vector<Selected> all;
+  all.reserve(pending.size());
+  for (const PendingDelivery& p : pending) {
+    if (p.dest_server == kInvalidServer || state.ServerFailed(p.dest_server) ||
+        in_flight.count(DeliveryKey{p.job, p.block, p.dc}) != 0) {
+      continue;
+    }
+    const MulticastJob* job = state.FindJob(p.job);
+    BDS_CHECK(job != nullptr);
+    DcId dest_dc = topo_->server(p.dest_server).dc;
+    for (ServerId h : state.Holders(p.job, p.block)) {
+      DcId src_dc = topo_->server(h).dc;
+      if (h != p.dest_server && (src_dc == dest_dc || routing_->Reachable(src_dc, dest_dc))) {
+        all.push_back(Selected{p, job->BlockSizeOf(p.block), h});
+        break;
+      }
+    }
+  }
+  return all;
+}
+
 std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
     int64_t cycle, const ReplicaState& state, const std::vector<Rate>& residual_capacities,
     const DeliveryKeySet& in_flight, CycleDecision& decision) {
   if (options_.schedule_all) {
-    // Joint formulation: every outstanding delivery goes to the solver.
-    std::vector<PendingDelivery> pending = state.PendingDeliveries();
-    std::vector<Selected> all;
-    all.reserve(pending.size());
-    for (const PendingDelivery& p : pending) {
-      if (p.dest_server == kInvalidServer || state.ServerFailed(p.dest_server) ||
-          in_flight.count(DeliveryKey{p.job, p.block, p.dc}) != 0) {
-        continue;
-      }
-      const MulticastJob* job = state.FindJob(p.job);
-      BDS_CHECK(job != nullptr);
-      DcId dest_dc = topo_->server(p.dest_server).dc;
-      for (ServerId h : state.Holders(p.job, p.block)) {
-        DcId src_dc = topo_->server(h).dc;
-        if (h != p.dest_server && (src_dc == dest_dc || routing_->Reachable(src_dc, dest_dc))) {
-          all.push_back(Selected{p, job->BlockSizeOf(p.block), h});
-          break;
-        }
-      }
-    }
-    return all;
+    return ScheduleAll(state, in_flight);
   }
 
   // Per-server byte budgets for this cycle (constraint (3) of §4.1): a
@@ -331,146 +333,10 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   }
   const bool any_failed = state.AnyServerFailed();
   std::unordered_map<uint64_t, int> extra_dups;  // (job, block) -> copies scheduled now.
-  const int num_shards = options_.num_shards;
   BuildCandidates(cycle, state, jobs_by_pos, decision);
-
-  // Candidate queue. Pops always extract the global minimum of the remaining
-  // candidates under the strict total order (eff_dup, salt, index) — indices
-  // are unique, so the order has no ties and ANY correct implementation pops
-  // the identical sequence. That is the whole parity argument for sharding
-  // the queue: K per-shard queues over contiguous ranges of the array plus a
-  // K-way merge at pop time still return the global minimum every time.
-  // Implementations (selected by the early-exit knob and num_shards):
-  //  * heap: O(P) heapify up front (never per-push insertion — at 10^6
-  //    outstanding blocks that alone would blow Fig 11a's budget). With
-  //    K > 1, one min-heap per shard range, heapified in parallel.
-  //  * chunked (with the early-exit knob): nth_element carves the kChunk
-  //    smallest candidates out of the shard's unsorted tail and sorts just
-  //    those; stale re-pushes go to a small global side heap merged at pop
-  //    time. Every tail element is >= every carved element of its shard, so
-  //    min(shard run fronts, side top) is the global minimum. The early exit
-  //    keeps the pop count in the thousands, so one carve per shard usually
-  //    suffices. With K > 1 the initial carves run in parallel (each shard's
-  //    carve touches only its own range); re-carves happen lazily in-pop.
-  const bool chunked = options_.use_sched_early_exit;
-  constexpr size_t kChunk = 16384;
-  auto cand_less = [](const Candidate& a, const Candidate& b) { return b > a; };
-  auto cand_greater = [](const Candidate& a, const Candidate& b) { return a > b; };
-  struct ShardQueue {
-    size_t begin = 0, end = 0;        // This shard's slice of cands.
-    size_t run_pos = 0, run_end = 0;  // Chunked: sorted run.
-    size_t tail = 0;                  // Chunked: unsorted remainder start.
-    size_t heap_end = 0;              // Heap mode: min-heap over [begin, heap_end).
-    size_t chunk = kChunk;            // Chunked: next carve size (doubles).
-  };
-  CandVec& cands = cand_work_;  // BuildCandidates filled it.
-  std::vector<ShardQueue> shards;
-  std::priority_queue<Candidate, CandVec, std::greater<Candidate>> side;
-  // Legacy K == 1 heap mode keeps the single priority_queue path untouched.
-  const bool shard_queues = chunked || num_shards > 1;
-  auto carve = [&](ShardQueue& sh) {  // Pre: sh.tail < sh.end.
-    const size_t k = std::min(sh.chunk, sh.end - sh.tail);
-    // Each re-carve pays an nth_element pass over the shard's whole
-    // unsorted tail, so the carve size doubles every time a shard's run is
-    // exhausted: deep-popping cycles (fleet scale pops hundreds of
-    // thousands) amortize to O(log) tail passes instead of one per kChunk.
-    // Pop order is unaffected — every tail element is >= every carved
-    // element regardless of where the carve boundary lands.
-    sh.chunk *= 2;
-    auto begin = cands.begin() + static_cast<ptrdiff_t>(sh.tail);
-    auto shard_end = cands.begin() + static_cast<ptrdiff_t>(sh.end);
-    std::nth_element(begin, begin + static_cast<ptrdiff_t>(k) - 1, shard_end, cand_less);
-    std::sort(begin, begin + static_cast<ptrdiff_t>(k), cand_less);
-    sh.run_pos = sh.tail;
-    sh.run_end = sh.tail + k;
-    sh.tail = sh.run_end;
-  };
-  if (shard_queues) {
-    const size_t n = cands.size();
-    const size_t S = static_cast<size_t>(num_shards);
-    shards.resize(S);
-    for (size_t s = 0; s < S; ++s) {
-      ShardQueue& sh = shards[s];
-      sh.begin = n * s / S;
-      sh.end = n * (s + 1) / S;
-      sh.run_pos = sh.run_end = sh.tail = sh.begin;
-      sh.heap_end = sh.end;
-    }
-    if (!chunked) {
-      pool_.For(S, [&](size_t b, size_t e) {
-        for (size_t s = b; s < e; ++s) {
-          std::make_heap(cands.begin() + static_cast<ptrdiff_t>(shards[s].begin),
-                         cands.begin() + static_cast<ptrdiff_t>(shards[s].end), cand_greater);
-        }
-      });
-    } else if (S > 1) {
-      pool_.For(S, [&](size_t b, size_t e) {
-        for (size_t s = b; s < e; ++s) {
-          if (shards[s].tail < shards[s].end) {
-            carve(shards[s]);
-          }
-        }
-      });
-    }
-  } else {
-    // Heap mode takes ownership of the working array; the next cycle's
-    // build simply re-grows the moved-from member.
-    side = std::priority_queue<Candidate, CandVec, std::greater<Candidate>>(
-        std::greater<Candidate>{}, std::move(cand_work_));
-  }
-  auto queue_empty = [&] {
-    if (!side.empty()) {
-      return false;
-    }
-    for (const ShardQueue& sh : shards) {
-      if (chunked ? (sh.run_pos < sh.run_end || sh.tail < sh.end) : (sh.begin < sh.heap_end)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  auto queue_pop = [&]() -> Candidate {
-    const Candidate* best = nullptr;
-    size_t best_s = 0;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      ShardQueue& sh = shards[s];
-      if (chunked) {
-        if (sh.run_pos == sh.run_end) {
-          if (sh.tail >= sh.end) {
-            continue;
-          }
-          carve(sh);
-        }
-        const Candidate& front = cands[sh.run_pos];
-        if (best == nullptr || *best > front) {
-          best = &front;
-          best_s = s;
-        }
-      } else {
-        if (sh.begin >= sh.heap_end) {
-          continue;
-        }
-        const Candidate& front = cands[sh.begin];
-        if (best == nullptr || *best > front) {
-          best = &front;
-          best_s = s;
-        }
-      }
-    }
-    if (best != nullptr && (side.empty() || side.top() > *best)) {
-      ShardQueue& sh = shards[best_s];
-      if (chunked) {
-        return cands[sh.run_pos++];
-      }
-      std::pop_heap(cands.begin() + static_cast<ptrdiff_t>(sh.begin),
-                    cands.begin() + static_cast<ptrdiff_t>(sh.heap_end), cand_greater);
-      return cands[--sh.heap_end];
-    }
-    Candidate c = side.top();
-    side.pop();
-    return c;
-  };
-  auto queue_push = [&](const Candidate& c) { side.push(c); };
+  // Pops extract the global minimum of the remaining candidates under the
+  // strict total order (eff_dup, salt, key) for any shard count.
+  SelectionQueue queue(cand_work_, options_.num_shards, &pool_);
 
   // Early-exit bookkeeping: once every owed destination server's download
   // budget is saturated, every possible source server's upload budget is
@@ -516,17 +382,17 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   }
 
   std::vector<Selected> selected;
-  while (!queue_empty()) {
+  while (!queue.empty()) {
     if (max_deliveries > 0 && static_cast<int64_t>(selected.size()) >= max_deliveries) {
       break;
     }
     if (static_cast<int64_t>(saturated_dests.size()) >= owed_servers ||
-        (options_.use_sched_early_exit && num_src_exhausted >= holder_universe) ||
+        num_src_exhausted >= holder_universe ||
         failures_since_success > failure_patience) {
       early_exit = true;
       break;
     }
-    Candidate c = queue_pop();
+    Candidate c = queue.Pop();
     ++pops;
     // Unpack the delivery's coordinates; dest server and duplicate count are
     // recomputed here, for popped candidates only (AssignedServer is a pure
@@ -551,7 +417,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
       int now_dup = p.duplicates + dups;
       if (now_dup > c.eff_dup) {
         c.eff_dup = now_dup;  // Stale: re-queue with the updated key.
-        queue_push(c);
+        queue.Push(c);
         ++stale_requeues;
         continue;
       }
@@ -683,19 +549,14 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
   subtask_paths_.resize(num_subtasks);
 
   // Degradation rung kCachedPaths and above: route every subtask over its
-  // single best cached per-DC-pair path — no alternate-route exploration,
-  // and the cache is used even in the enumerate-per-subtask ablation mode.
-  const bool use_path_cache =
-      options_.use_path_cache || rung_ >= DegradationRung::kCachedPaths;
+  // single best cached per-DC-pair path — no alternate-route exploration.
   const int route_cap =
       rung_ >= DegradationRung::kCachedPaths ? 1 : options_.max_wan_routes;
 
-  if (use_path_cache) {
-    // Serial pre-pass so the parallel materialization below only performs
-    // read-only cache lookups.
-    for (const Subtask& st : subtasks) {
-      path_cache_.EnsurePair(topo_->server(st.src).dc, topo_->server(st.dst).dc);
-    }
+  // Serial pre-pass so the parallel materialization below only performs
+  // read-only cache lookups.
+  for (const Subtask& st : subtasks) {
+    path_cache_.EnsurePair(topo_->server(st.src).dc, topo_->server(st.dst).dc);
   }
 
   // Per-subtask path materialization and commodity build: independent work
@@ -704,11 +565,7 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     for (size_t i = begin; i < end; ++i) {
       const Subtask& st = subtasks[i];
       std::vector<ServerPath>& paths = subtask_paths_[i];
-      if (use_path_cache) {
-        path_cache_.MaterializePaths(st.src, st.dst, &paths);
-      } else {
-        paths = EnumerateServerPaths(*topo_, *routing_, st.src, st.dst);
-      }
+      path_cache_.MaterializePaths(st.src, st.dst, &paths);
       if (static_cast<int>(paths.size()) > route_cap) {
         paths.resize(static_cast<size_t>(route_cap));
       }
@@ -726,10 +583,8 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     }
   });
 
-  // Solver dispatch. The sharded solver requires the incremental FPTAS (it
-  // is that solver's push loop run per link-disjoint group) — exact-LP and
-  // reference-FPTAS runs ignore num_shards. Rung kCoarseEpsilon and above
-  // trades routing precision for running time by coarsening epsilon.
+  // Rung kCoarseEpsilon and above trades routing precision for running time
+  // by coarsening epsilon.
   const double fptas_epsilon =
       rung_ >= DegradationRung::kCoarseEpsilon
           ? std::min(0.5, options_.fptas_epsilon * options_.degraded_epsilon_factor)
@@ -743,7 +598,7 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
   // and unchanged effective epsilon / route cap (covers degradation-rung
   // moves). A commodity whose path count differs from its key's simply gets
   // no seed.
-  const bool fptas_path = !options_.use_exact_lp && options_.use_incremental_fptas;
+  const bool fptas_path = !options_.use_exact_lp;
   McfWarmSeed warm_seed;
   McfWarmInfo warm_info;
   const McfWarmSeed* warm_ptr = nullptr;
@@ -787,23 +642,20 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
   McfResult flows;
   if (options_.use_exact_lp) {
     flows = SolveMcfSimplex(instance);
-  } else if (!options_.use_incremental_fptas) {
-    flows = SolveMcfFptasReference(instance, fptas_epsilon);
-  } else if (options_.num_shards > 1) {
+  } else {
     McfShardOptions shard_options;
     shard_options.num_shards = options_.num_shards;
-    shard_options.split_contended = options_.split_contended;
-    flows = SolveMcfFptasSharded(instance, fptas_epsilon, shard_options, &pool_,
-                                 &shard_stats, warm_ptr, &warm_info);
-    decision.num_shard_components = shard_stats.num_components;
-    decision.num_shard_groups = shard_stats.num_groups;
-  } else {
-    flows = SolveMcfFptas(instance, fptas_epsilon, warm_ptr, &warm_info);
+    flows = SolveMcfFptas(instance, fptas_epsilon, shard_options, &pool_, &shard_stats, warm_ptr,
+                          &warm_info);
+    if (options_.num_shards > 1) {
+      decision.num_shard_components = shard_stats.num_components;
+      decision.num_shard_groups = shard_stats.num_groups;
+    }
   }
   decision.warm_solve = warm_info.used;
   decision.fptas_phases_skipped = warm_info.phases_skipped;
-  // Phase accounting: instance build + push loops count as "solve"; the
-  // sharded solver's global finalize is the shard merge and is charged to
+  // Phase accounting: instance build + push loops count as "solve"; with
+  // several shards the global finalize is the shard merge and is charged to
   // "merge" along with the block-split/transfer-emission tail below.
   const double solve_cpu_end = ProcessCpuSeconds();
   decision.solve_cpu_seconds += (solve_cpu_end - route_cpu0) - shard_stats.merge_seconds;

@@ -27,6 +27,7 @@
 #include "src/scheduler/decision.h"
 #include "src/scheduler/degradation.h"
 #include "src/scheduler/replica_state.h"
+#include "src/scheduler/selection_queue.h"
 #include "src/topology/path_cache.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
@@ -89,31 +90,21 @@ struct ControllerAlgorithmOptions {
   double budget_fraction = 0.9;
   // Optional hard cap on deliveries scheduled per cycle; 0 = capacity-driven.
   int64_t max_deliveries_per_cycle = 0;
-  // Hot-path optimization knobs. All default on; the off positions exist
-  // for the Fig 11a ablation bench and the parity tests — every combination
-  // produces bit-identical decisions.
-  bool use_incremental_fptas = true;  // false: SolveMcfFptasReference.
-  bool use_path_cache = true;         // false: EnumerateServerPaths per subtask.
-  // false: keep popping candidates until the failure-patience heuristic
-  // trips, as the pre-optimization selection loop did. The early exit fires
-  // once every possible source's upload budget is provably spent, which
-  // cannot change the selected set (budgets only decrease within a cycle).
-  bool use_sched_early_exit = true;
   // Worker threads for the per-subtask and per-candidate passes. 1 (the
   // default) runs everything on the calling thread; higher values fan the
   // independent work out over a small pool. Decisions are byte-identical
   // for every value (deterministic static partitioning, per-slot writes).
   int num_threads = 1;
   // Fleet-scale sharding (DESIGN.md "Sharded controller"). With K > 1 the
-  // cycle's work is partitioned K ways: the candidate array is carved/
-  // heapified per contiguous shard with a K-way merge pop, and the routing
-  // FPTAS runs per link-disjoint commodity group (SolveMcfFptasSharded) with
-  // one global finalize as the merge under the bandwidth-separator budget.
-  // Decisions are bit-identical to num_shards = 1 for ANY shard and thread
-  // count — selection pops the same strict total order and the per-group
-  // push loops share the global instance's constants (see the shard-parity
-  // suite). Ignored by schedule_all / use_exact_lp, whose solvers have no
-  // shard seam.
+  // cycle's work is partitioned K ways: the selection queue carves K
+  // contiguous ranges of the candidate array and merges them at pop time
+  // (SelectionQueue), and the routing FPTAS runs per link-disjoint commodity
+  // group with one global finalize as the merge under the
+  // bandwidth-separator budget. Decisions are bit-identical to
+  // num_shards = 1 for ANY shard and thread count — selection pops the same
+  // strict total order and the per-group push loops share the global
+  // instance's constants (see the shard-parity suite). Ignored by
+  // schedule_all / use_exact_lp, whose solvers have no shard seam.
   int num_shards = 1;
   // Degradation-ladder knob positions (src/scheduler/degradation.h); only
   // consulted when SetDegradationRung raises the rung above kNormal.
@@ -129,11 +120,6 @@ struct ControllerAlgorithmOptions {
   // thread/shard count, objective within (1 + fptas_epsilon) of the cold
   // solve — but NOT bitwise equal to it. Off by default.
   bool warm_start = false;
-  // Forwarded to McfShardOptions::split_contended (num_shards > 1 only):
-  // splits giant contended commodity groups for parallelism. Deterministic
-  // but not bitwise-equal to the unsharded solve — gate it together with
-  // warm_start under the relaxed-parity contract.
-  bool split_contended = false;
 };
 
 class ControllerAlgorithm {
@@ -186,29 +172,13 @@ class ControllerAlgorithm {
     ServerId src_server = kInvalidServer;
   };
 
-  // Reads cand_cache_ for the churn suite's slot-for-slot oracle check
-  // (tests/oracles/candidate_oracle.h).
+  // Reads cand_cache_ for the churn suite's slot-for-slot oracle check and
+  // runs ScheduleBlocks for the reference-selection check (tests/oracles/).
   friend class ControllerAlgorithmTestPeer;
 
-  // A schedulable delivery in packed 24-byte form: `key` is
-  // PackCandidateKey's (job position, block, dest-DC position), which
-  // strictly increases in PendingDeliveries() order, `salt` the
-  // deterministic pseudo-random tie-break (CandidateSalt), `eff_dup` the
-  // speculative duplicate count. Ordering by (eff_dup, salt, key) has no ties.
-  struct Candidate {
-    int eff_dup;
-    uint64_t salt;
-    uint64_t key;
-    bool operator>(const Candidate& o) const {
-      if (eff_dup != o.eff_dup) {
-        return eff_dup > o.eff_dup;
-      }
-      if (salt != o.salt) {
-        return salt > o.salt;
-      }
-      return key > o.key;
-    }
-  };
+  // Ordering by (eff_dup, salt, key) has no ties: `key` strictly increases
+  // in PendingDeliveries() order (see SelectionCandidate).
+  using Candidate = SelectionCandidate;
   using CandVec = std::vector<Candidate>;
 
   // One kDirtyChunkBlocks-aligned slice of one job's candidate slots in the
@@ -255,6 +225,11 @@ class ControllerAlgorithm {
     int route_cap = 0;
     std::map<std::tuple<DcId, DcId, JobId>, std::vector<double>> flows;
   };
+
+  // Joint formulation (schedule_all): every outstanding delivery, with its
+  // first reachable holder as the source.
+  std::vector<Selected> ScheduleAll(const ReplicaState& state,
+                                    const DeliveryKeySet& in_flight) const;
 
   // Scheduling step: rarest-first selection under capacity budgets.
   std::vector<Selected> ScheduleBlocks(int64_t cycle, const ReplicaState& state,

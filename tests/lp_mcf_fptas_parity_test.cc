@@ -1,11 +1,11 @@
 // Bit-exactness property tests for the incremental FPTAS.
 //
-// SolveMcfFptas is a performance rewrite of SolveMcfFptasReference: same
-// Fleischer phase structure, same push sequence, different bookkeeping (CSR
-// layout, shared-structure scan unrolling, post-push lower-bound skips). Its
-// contract is that every per-path flow is bit-identical to the reference —
-// not merely close — because the controller's decision fingerprints hash raw
-// rate doubles and the ablation bench asserts equality across solver knobs.
+// SolveMcfFptas is a performance rewrite of SolveMcfFptasReference
+// (tests/oracles/fptas_oracle.h): same Fleischer phase structure, same push
+// sequence, different bookkeeping (CSR layout, shared-structure scan
+// unrolling, post-push lower-bound skips). Its contract is that every
+// per-path flow is bit-identical to the reference — not merely close —
+// because the controller's decision fingerprints hash raw rate doubles.
 //
 // The generator below deliberately produces every scan kind the solver
 // specializes:
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "tests/oracles/fptas_oracle.h"
 
 namespace bds {
 namespace {

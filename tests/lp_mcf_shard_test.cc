@@ -1,16 +1,15 @@
-// Bit-exactness and feasibility tests for the sharded FPTAS.
+// Bit-exactness tests for the sharded FPTAS.
 //
-// SolveMcfFptasSharded partitions commodities into link-disjoint groups,
-// runs the tuned push loop per group against the GLOBAL instance's constants
-// (delta, alpha ladder, push budget), and merges with one global finalize.
-// Its contract: bit-identical results to SolveMcfFptas for ANY shard count
-// and thread count (split_contended off), because link-disjoint commodity
-// subsets never observe each other's length updates. The generator mirrors
+// With num_shards > 1, SolveMcfFptas partitions commodities into
+// link-disjoint groups, runs the tuned push loop per group against the
+// GLOBAL instance's constants (delta, alpha ladder, push budget), and merges
+// with one global finalize. Its contract: bit-identical results to the
+// one-shard solve — and so to the reference loop — for ANY shard count and
+// thread count, because link-disjoint commodity subsets never observe each
+// other's length updates. The generator mirrors
 // the FPTAS parity suite's — controller-shaped commodities (each its own
 // component) mixed with pool-sharing generic commodities (one entangled
 // component) — so every packing shape is exercised.
-
-#include "src/lp/mcf_shard.h"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +23,7 @@
 #include "src/lp/mcf.h"
 #include "src/lp/mcf_internal.h"
 #include "tests/lp_mcf_cert_log.h"
+#include "tests/oracles/fptas_oracle.h"
 
 namespace bds {
 namespace {
@@ -173,17 +173,18 @@ TEST(McfShardTest, MatchesUnshardedBitForBitAcrossShardAndThreadCounts) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     McfInstance inst = RandomInstance(seed);
     McfResult unsharded = SolveMcfFptas(inst, 0.1);
+    ExpectBitwiseEqual(unsharded, SolveMcfFptasReference(inst, 0.1), "unsharded-vs-reference",
+                       seed, 1);
     for (int shards : {1, 2, 4, 8}) {
       for (int threads : {1, 4}) {
         ParallelRunner pool(threads);
         McfShardOptions opt;
         opt.num_shards = shards;
         McfShardStats stats;
-        McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, &pool, &stats);
+        McfResult sharded = SolveMcfFptas(inst, 0.1, opt, &pool, &stats);
         ExpectBitwiseEqual(sharded, unsharded, "sharded-vs-unsharded", seed, shards);
         EXPECT_LE(stats.num_groups, std::max(1, shards));
         EXPECT_GE(stats.num_components, 1);
-        EXPECT_FALSE(stats.split_mode_used);
       }
     }
   }
@@ -194,9 +195,9 @@ TEST(McfShardTest, NullPoolIsEquivalentToSerialPool) {
     McfInstance inst = RandomInstance(seed);
     McfShardOptions opt;
     opt.num_shards = 4;
-    McfResult no_pool = SolveMcfFptasSharded(inst, 0.1, opt, nullptr);
+    McfResult no_pool = SolveMcfFptas(inst, 0.1, opt, nullptr);
     ParallelRunner pool(4);
-    McfResult with_pool = SolveMcfFptasSharded(inst, 0.1, opt, &pool);
+    McfResult with_pool = SolveMcfFptas(inst, 0.1, opt, &pool);
     ExpectBitwiseEqual(no_pool, with_pool, "nullpool-vs-pool", seed, 4);
   }
 }
@@ -213,7 +214,7 @@ TEST(McfShardTest, DisjointComponentsSpreadAcrossGroups) {
   McfShardOptions opt;
   opt.num_shards = 4;
   McfShardStats stats;
-  McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, nullptr, &stats);
+  McfResult sharded = SolveMcfFptas(inst, 0.1, opt, nullptr, &stats);
   EXPECT_EQ(stats.num_components, 4);
   EXPECT_EQ(stats.num_groups, 4);
   McfResult unsharded = SolveMcfFptas(inst, 0.1);
@@ -225,36 +226,10 @@ TEST(McfShardTest, ContendedInstanceCollapsesToOneGroupWithoutSplit) {
   McfShardOptions opt;
   opt.num_shards = 4;
   McfShardStats stats;
-  McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, nullptr, &stats);
+  McfResult sharded = SolveMcfFptas(inst, 0.1, opt, nullptr, &stats);
   EXPECT_EQ(stats.num_components, 1);
   EXPECT_EQ(stats.num_groups, 1);
-  EXPECT_FALSE(stats.split_mode_used);
   ExpectBitwiseEqual(sharded, SolveMcfFptas(inst, 0.1), "contended", 11, 4);
-}
-
-TEST(McfShardTest, SplitContendedStaysFeasibleAndDeterministic) {
-  for (uint64_t seed = 60; seed < 70; ++seed) {
-    McfInstance inst = ContendedInstance(seed, 16);
-    McfShardOptions opt;
-    opt.num_shards = 4;
-    opt.split_contended = true;
-    McfShardStats stats;
-    McfResult split = SolveMcfFptasSharded(inst, 0.1, opt, nullptr, &stats);
-    ASSERT_TRUE(split.ok);
-    EXPECT_TRUE(stats.split_mode_used) << "seed " << seed;
-    EXPECT_GT(stats.num_groups, 1) << "seed " << seed;
-    // Feasibility survives the merge normalization even though the pieces
-    // each solved against the full backbone capacity.
-    EXPECT_LE(MaxCapacityViolation(inst, split), 1e-6) << "seed " << seed;
-    // Deterministic: a second run (with a pool) reproduces it bitwise.
-    ParallelRunner pool(4);
-    McfResult again = SolveMcfFptasSharded(inst, 0.1, opt, &pool);
-    ExpectBitwiseEqual(split, again, "split-determinism", seed, 4);
-    // Quality: the merge's normalization + rebalance keeps the combined flow
-    // in the same ballpark as the unsharded solve.
-    McfResult unsharded = SolveMcfFptas(inst, 0.1);
-    EXPECT_GE(split.total_flow, 0.5 * unsharded.total_flow) << "seed " << seed;
-  }
 }
 
 // Two contended components whose certificates hold at different phases:
@@ -281,7 +256,7 @@ TEST(McfShardTest, ComponentsCertifyingAtDifferentPhasesKeepParity) {
         McfShardOptions opt;
         opt.num_shards = shards;
         McfShardStats stats;
-        McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, &pool, &stats);
+        McfResult sharded = SolveMcfFptas(inst, 0.1, opt, &pool, &stats);
         ExpectBitwiseEqual(sharded, unsharded, "split-phase certificates", seed, shards);
         EXPECT_EQ(stats.num_components, 2);
       }
@@ -294,7 +269,7 @@ TEST(McfShardTest, EmptyAndDegenerateInstances) {
   McfInstance empty;
   McfShardOptions opt;
   opt.num_shards = 4;
-  EXPECT_TRUE(SolveMcfFptasSharded(empty, 0.1, opt, nullptr).ok);
+  EXPECT_TRUE(SolveMcfFptas(empty, 0.1, opt, nullptr).ok);
 
   // A commodity with no paths next to a normal one.
   McfInstance inst;
@@ -303,7 +278,7 @@ TEST(McfShardTest, EmptyAndDegenerateInstances) {
   McfCommodity c;
   c.paths.push_back({{0}});
   inst.commodities.push_back(c);
-  McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, nullptr);
+  McfResult sharded = SolveMcfFptas(inst, 0.1, opt, nullptr);
   ASSERT_TRUE(sharded.ok);
   ExpectBitwiseEqual(sharded, SolveMcfFptas(inst, 0.1), "degenerate", 0, 4);
 }

@@ -3,14 +3,14 @@
 // A warm solve carries the previous solve's finalized flows into the
 // multiplicative-weights state. Its contract is deliberately weaker than the
 // sharded solver's bitwise parity: the result must be FEASIBLE, DETERMINISTIC
-// for any thread count (and, without split_contended, bitwise-invariant to
-// the shard count), and its objective must stay within (1 + eps) of the cold
+// and bitwise-invariant to the shard and thread counts, and its objective
+// must stay within (1 + eps) of the cold
 // solve's — but it is NOT bitwise-equal to the cold solve. An empty seed must
 // degenerate to the cold solver bit for bit.
 //
 // Also covers the wedged-budget seam: with max_pushes_override forcing the
-// per-group budget, the sharded solver must discard the wedged sharded run
-// and redo it serially, so ANY shard count still matches shards=1 bitwise.
+// per-group budget, the solver must discard the wedged sharded run and redo
+// it serially, so ANY shard count still matches shards=1 bitwise.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/lp/mcf.h"
-#include "src/lp/mcf_shard.h"
 
 namespace bds {
 namespace {
@@ -112,7 +111,7 @@ McfWarmSeed SeedFrom(const McfResult& result) {
 
 // The headline property, 30 seeds: seeding a solve from its own cold result
 // stays feasible, keeps the objective inside the (1 + eps) band, and is
-// bitwise-invariant to shard and thread counts (split off).
+// bitwise-invariant to shard and thread counts.
 TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     McfInstance inst = RandomInstance(seed);
@@ -121,7 +120,7 @@ TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
     McfWarmSeed warm_seed = SeedFrom(cold);
 
     McfWarmInfo info;
-    McfResult warm = SolveMcfFptas(inst, kEps, &warm_seed, &info);
+    McfResult warm = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &warm_seed, &info);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     if (cold.total_flow > 0.0) {
@@ -135,22 +134,17 @@ TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
           << "seed " << seed;
     }
 
-    // Shard/thread invariance of the warm solve (split_contended off): the
-    // seed and alpha-ladder entry are computed once from the global
-    // instance, so every shard/thread combination reproduces the
-    // single-shard warm result bit for bit.
-    McfShardOptions opt1;
-    opt1.num_shards = 1;
-    McfResult warm_ref =
-        SolveMcfFptasSharded(inst, kEps, opt1, nullptr, nullptr, &warm_seed);
+    // Shard/thread invariance of the warm solve: the seed and alpha-ladder
+    // entry are computed once from the global instance, so every
+    // shard/thread combination reproduces the single-shard warm result bit
+    // for bit.
     for (int shards : {1, 8}) {
       for (int threads : {1, 4}) {
         ParallelRunner pool(threads);
         McfShardOptions opt;
         opt.num_shards = shards;
-        McfResult again =
-            SolveMcfFptasSharded(inst, kEps, opt, &pool, nullptr, &warm_seed);
-        ExpectBitwiseEqual(again, warm_ref, "warm-shard-invariance", seed);
+        McfResult again = SolveMcfFptas(inst, kEps, opt, &pool, nullptr, &warm_seed);
+        ExpectBitwiseEqual(again, warm, "warm-shard-invariance", seed);
       }
     }
   }
@@ -163,11 +157,11 @@ TEST(McfWarmTest, EmptySeedDegeneratesToColdBitwise) {
     McfInstance inst = RandomInstance(seed);
     McfResult cold = SolveMcfFptas(inst, kEps);
     McfWarmInfo info;
-    McfResult null_seed = SolveMcfFptas(inst, kEps, nullptr, &info);
+    McfResult null_seed = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, nullptr, &info);
     ExpectBitwiseEqual(null_seed, cold, "null-seed", seed);
     EXPECT_FALSE(info.used);
     McfWarmSeed empty;
-    McfResult empty_seed = SolveMcfFptas(inst, kEps, &empty, &info);
+    McfResult empty_seed = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &empty, &info);
     ExpectBitwiseEqual(empty_seed, cold, "empty-seed", seed);
     EXPECT_FALSE(info.used);
   }
@@ -188,7 +182,7 @@ TEST(McfWarmTest, StaleSeedFromChurnedInstanceStaysFeasible) {
         com.demand *= rng.Uniform(0.2, 0.9);
       }
     }
-    McfResult warm = SolveMcfFptas(inst, kEps, &stale);
+    McfResult warm = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &stale);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     for (int c = 0; c < inst.num_commodities(); ++c) {
@@ -197,42 +191,40 @@ TEST(McfWarmTest, StaleSeedFromChurnedInstanceStaysFeasible) {
             << "seed " << seed << " commodity " << c;
       }
     }
-    McfResult again = SolveMcfFptas(inst, kEps, &stale);
+    McfResult again = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &stale);
     ExpectBitwiseEqual(again, warm, "stale-seed-determinism", seed);
   }
 }
 
-// Warm start composed with split_contended (the bench's steady-cycle
-// configuration): feasible, deterministic, and in the cold split solve's
-// quality ballpark on a fully contended instance.
-TEST(McfWarmTest, WarmSplitContendedFeasibleAndDeterministic) {
+// Warm start on one giant contended component (every commodity shares the
+// backbone, so the component is one group for any shard count): feasible,
+// inside the objective band, and bitwise-invariant to shards and threads.
+TEST(McfWarmTest, WarmContendedInstanceFeasibleAndShardInvariant) {
   for (uint64_t seed = 70; seed < 76; ++seed) {
     McfInstance inst = ContendedInstance(seed, 16);
-    McfShardOptions opt;
-    opt.num_shards = 4;
-    opt.split_contended = true;
-    McfShardStats cold_stats;
-    McfResult cold = SolveMcfFptasSharded(inst, kEps, opt, nullptr, &cold_stats);
+    McfResult cold = SolveMcfFptas(inst, kEps);
     ASSERT_TRUE(cold.ok) << "seed " << seed;
-    EXPECT_TRUE(cold_stats.split_mode_used) << "seed " << seed;
     McfWarmSeed warm_seed = SeedFrom(cold);
-    McfShardStats stats;
     McfWarmInfo info;
-    McfResult warm =
-        SolveMcfFptasSharded(inst, kEps, opt, nullptr, &stats, &warm_seed, &info);
+    McfResult warm = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &warm_seed, &info);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_TRUE(info.used) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
-    EXPECT_GE(warm.total_flow, 0.5 * cold.total_flow) << "seed " << seed;
-    ParallelRunner pool(4);
-    McfResult again =
-        SolveMcfFptasSharded(inst, kEps, opt, &pool, nullptr, &warm_seed);
-    ExpectBitwiseEqual(again, warm, "warm-split-determinism", seed);
+    EXPECT_GE((1.0 + kEps) * warm.total_flow, cold.total_flow - 1e-9) << "seed " << seed;
+    for (int shards : {4, 8}) {
+      ParallelRunner pool(4);
+      McfShardOptions opt;
+      opt.num_shards = shards;
+      McfShardStats stats;
+      McfResult again = SolveMcfFptas(inst, kEps, opt, &pool, &stats, &warm_seed);
+      EXPECT_EQ(stats.num_groups, 1) << "seed " << seed;
+      ExpectBitwiseEqual(again, warm, "warm-contended-shard-invariance", seed);
+    }
   }
 }
 
 // Wedged-budget parity: when the (overridden) push budget cuts the run off,
-// the sharded solver must notice the wedge and redo the solve as one serial
+// the solver must notice the wedge and redo the solve as one serial
 // loop, so shards=8 still equals shards=1 bit for bit instead of each group
 // spending a private budget.
 TEST(McfWarmTest, WedgedBudgetParityAcrossShardCounts) {
@@ -242,13 +234,13 @@ TEST(McfWarmTest, WedgedBudgetParityAcrossShardCounts) {
       McfShardOptions opt1;
       opt1.num_shards = 1;
       opt1.max_pushes_override = budget;
-      McfResult serial = SolveMcfFptasSharded(inst, kEps, opt1, nullptr);
+      McfResult serial = SolveMcfFptas(inst, kEps, opt1, nullptr);
       ParallelRunner pool(4);
       McfShardOptions opt8;
       opt8.num_shards = 8;
       opt8.max_pushes_override = budget;
       McfShardStats stats;
-      McfResult sharded = SolveMcfFptasSharded(inst, kEps, opt8, &pool, &stats);
+      McfResult sharded = SolveMcfFptas(inst, kEps, opt8, &pool, &stats);
       ExpectBitwiseEqual(sharded, serial, "wedged-budget", seed);
       // The rerun only fires when the budget actually bound the run; a
       // large-enough budget lets the solve finish normally.

@@ -26,4 +26,17 @@ std::vector<CandidateSlot> ControllerAlgorithmTestPeer::CachedSlots(
   return out;
 }
 
+std::vector<SelectedDelivery> ControllerAlgorithmTestPeer::Select(
+    ControllerAlgorithm& algo, int64_t cycle, const ReplicaState& state,
+    const std::vector<Rate>& residual, const DeliveryKeySet& in_flight) {
+  CycleDecision decision;
+  std::vector<SelectedDelivery> out;
+  for (const ControllerAlgorithm::Selected& s :
+       algo.ScheduleBlocks(cycle, state, residual, in_flight, decision)) {
+    out.push_back(SelectedDelivery{s.delivery.job, s.delivery.block, s.delivery.dc,
+                                   s.delivery.dest_server, s.src_server, s.bytes});
+  }
+  return out;
+}
+
 }  // namespace bds

@@ -5,6 +5,8 @@
 // the same array the direct way — one slot per ReplicaState::ForEachOwed
 // visit — and ControllerAlgorithmTestPeer reads the algorithm's cached
 // slots, so a test can compare the two slot for slot after every Decide.
+// The peer also runs the scheduling step alone, for the reference-selection
+// check (selection_oracle.h).
 
 #ifndef BDS_TESTS_ORACLES_CANDIDATE_ORACLE_H_
 #define BDS_TESTS_ORACLES_CANDIDATE_ORACLE_H_
@@ -14,6 +16,7 @@
 
 #include "src/scheduler/controller_algorithm.h"
 #include "src/scheduler/replica_state.h"
+#include "tests/oracles/selection_oracle.h"
 
 namespace bds {
 
@@ -33,6 +36,11 @@ class ControllerAlgorithmTestPeer {
  public:
   // The slots cached by the last candidate build (empty before the first).
   static std::vector<CandidateSlot> CachedSlots(const ControllerAlgorithm& algo);
+  // The deliveries ScheduleBlocks selects for this cycle, in selection order.
+  static std::vector<SelectedDelivery> Select(ControllerAlgorithm& algo, int64_t cycle,
+                                              const ReplicaState& state,
+                                              const std::vector<Rate>& residual,
+                                              const DeliveryKeySet& in_flight);
 };
 
 }  // namespace bds

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/service.h"
 #include "src/topology/builders.h"
 
@@ -161,6 +163,67 @@ TEST(RecoveryTest, FailureAndRecoveryWithinOneCycle) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->completed);
   EXPECT_EQ(service->mutable_controller()->state().OwedByServer(victim), 0);
+}
+
+// Equal-time failure-script events apply in submission order. 30 events at
+// one instant is past the 16-element insertion-sort cutoff of std::sort, so
+// an unstable sort of the script would reorder them; the later events go in
+// first, so the equal-time ones land in the middle of the script.
+TEST(RecoveryTest, EqualTimeServerEventsApplyInSubmissionOrder) {
+  BdsOptions options;
+  options.cycle_length = 1.0;
+  Topology topo = BuildFullMesh(4, 5, Gbps(1.0), MBps(20.0), MBps(20.0)).value();
+  auto service = BdsService::Create(std::move(topo), options).value();
+  ASSERT_TRUE(service->CreateJob(0, {1, 2, 3}, MB(600.0)).ok());
+  std::vector<ServerId> victims;
+  for (DcId d : {1, 2, 3}) {
+    for (ServerId s : service->topology().ServersIn(d)) {
+      victims.push_back(s);
+    }
+  }
+  for (ServerId v : victims) {
+    ASSERT_TRUE(service->InjectServerFailure(v, 40.0).ok());
+    ASSERT_TRUE(service->InjectServerRecovery(v, 45.0).ok());
+  }
+  for (ServerId v : victims) {
+    ASSERT_TRUE(service->InjectServerFailure(v, 5.0).ok());
+    ASSERT_TRUE(service->InjectServerRecovery(v, 5.0).ok());
+  }
+  auto report = service->Run(/*deadline=*/20.0);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GE(report->total_cycles, 10);  // The t=5 events were applied.
+  for (ServerId v : victims) {
+    EXPECT_FALSE(service->mutable_controller()->state().ServerFailed(v)) << "server " << v;
+  }
+}
+
+// The same for controller-replica events: nine fail/recover pairs of the
+// only replica at one instant (18 events, after a later event went in
+// first) leave it up, so every cycle once the failover delay has passed
+// runs with a master.
+TEST(RecoveryTest, EqualTimeReplicaEventsApplyInSubmissionOrder) {
+  BdsOptions options;
+  options.cycle_length = 1.0;
+  options.controller_replicas = 1;
+  Topology topo = BuildFullMesh(3, 3, Gbps(1.0), MBps(20.0), MBps(20.0)).value();
+  auto service = BdsService::Create(std::move(topo), options).value();
+  ASSERT_TRUE(service->CreateJob(0, {1, 2}, MB(600.0)).ok());
+  BdsController* controller = service->mutable_controller();
+  ASSERT_TRUE(controller->ScheduleReplicaFailure(0, 40.0).ok());
+  for (int k = 0; k < 9; ++k) {
+    ASSERT_TRUE(controller->ScheduleReplicaFailure(0, 5.0).ok());
+    ASSERT_TRUE(controller->ScheduleReplicaRecovery(0, 5.0).ok());
+  }
+  auto report = service->Run(/*deadline=*/20.0);
+  ASSERT_TRUE(report.ok());
+  int checked = 0;
+  for (const CycleStats& c : report->cycles) {
+    if (c.start_time > 9.0) {
+      EXPECT_TRUE(c.controller_up) << "cycle at t=" << c.start_time;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 5);
 }
 
 }  // namespace

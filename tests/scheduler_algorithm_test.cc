@@ -6,6 +6,8 @@
 
 #include "src/scheduler/bandwidth_separator.h"
 #include "src/topology/builders.h"
+#include "tests/oracles/candidate_oracle.h"
+#include "tests/oracles/selection_oracle.h"
 
 namespace bds {
 namespace {
@@ -164,8 +166,7 @@ TEST(ControllerAlgorithmTest, ZeroResidualMeansNoTransfers) {
 }
 
 // A workload big enough that scheduling hits budget limits and routing has
-// multi-path commodities — the regime where the optimization knobs actually
-// take different code paths.
+// multi-path commodities.
 Fixture BigFixture() {
   Fixture f(/*blocks=*/200, /*servers=*/3, /*dcs=*/4);
   // Scatter a few replicas so duplicate counts (and thus rarest-first
@@ -194,40 +195,93 @@ TEST(ControllerAlgorithmTest, ThreadCountDoesNotChangeFingerprint) {
   }
 }
 
-TEST(ControllerAlgorithmTest, OptimizationKnobsDoNotChangeFingerprint) {
-  Fixture f = BigFixture();
-  ControllerAlgorithmOptions opt = DefaultOptions();
-  opt.use_incremental_fptas = false;
-  opt.use_path_cache = false;
-  opt.use_sched_early_exit = false;
-  uint64_t baseline = DecideFingerprint(f, opt);
-  // Each knob alone, then all together (threaded) — every combination the
-  // ablation bench exercises must agree with the unoptimized build.
-  for (int mask = 1; mask < 8; ++mask) {
-    opt.use_incremental_fptas = (mask & 1) != 0;
-    opt.use_path_cache = (mask & 2) != 0;
-    opt.use_sched_early_exit = (mask & 4) != 0;
-    opt.num_threads = (mask == 7) ? 4 : 1;
-    EXPECT_EQ(DecideFingerprint(f, opt), baseline) << "knob mask " << mask;
+// ScheduleBlocks (chunked sharded queue, source-side early exit) must select
+// exactly what the heap-based reference selection does: same deliveries,
+// same sources, same order.
+void ExpectSelectionMatchesReference(const Fixture& f, const ControllerAlgorithmOptions& opt,
+                                     const std::vector<Rate>& residual,
+                                     const DeliveryKeySet& in_flight, const char* what) {
+  ControllerAlgorithm algo(&f.topo, &f.routing, opt);
+  const std::vector<SelectedDelivery> got =
+      ControllerAlgorithmTestPeer::Select(algo, 0, f.state, residual, in_flight);
+  const std::vector<SelectedDelivery> want =
+      ReferenceSelection(f.topo, f.routing, opt, f.state, residual, in_flight);
+  ASSERT_FALSE(want.empty()) << what;  // An empty selection proves nothing.
+  ASSERT_EQ(got.size(), want.size())
+      << what << " policy " << static_cast<int>(opt.policy) << " shards " << opt.num_shards;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(got[i] == want[i])
+        << what << " policy " << static_cast<int>(opt.policy) << " shards " << opt.num_shards
+        << " selection " << i << ": job " << got[i].job << " block " << got[i].block << " dc "
+        << got[i].dc << " src " << got[i].src_server << " vs job " << want[i].job << " block "
+        << want[i].block << " dc " << want[i].dc << " src " << want[i].src_server;
   }
 }
 
-TEST(ControllerAlgorithmTest, KnobParityHoldsForEveryPolicy) {
+TEST(ControllerAlgorithmTest, SelectionMatchesReferenceSelection) {
+  Fixture f = BigFixture();
+  // Halved residuals make selection budget-bound; a few deliveries in
+  // flight and a per-cycle cap exercise the loop's other exits.
+  std::vector<Rate> half = f.residual;
+  for (Rate& r : half) {
+    r *= 0.5;
+  }
+  DeliveryKeySet in_flight;
+  for (int64_t b = 0; b < 40; b += 3) {
+    in_flight.insert(DeliveryKey{1, b, 2});
+  }
+  Fixture failed = BigFixture();
+  failed.state.RemoveServer(failed.state.AssignedServer(1, 0, 3));
+  // Without scattered replicas the three source servers are the only
+  // holders, their upload budgets bind first, and selection ends on the
+  // exact source-side early exit.
+  Fixture source_bound(/*blocks=*/200, /*servers=*/3, /*dcs=*/4);
+  for (int shards : {1, 2, 8}) {
+    for (int threads : {1, 4}) {
+      ControllerAlgorithmOptions opt = DefaultOptions();
+      opt.num_shards = shards;
+      opt.num_threads = threads;
+      ExpectSelectionMatchesReference(f, opt, f.residual, {}, "full budgets");
+      ExpectSelectionMatchesReference(f, opt, half, in_flight, "half budgets + in flight");
+      ExpectSelectionMatchesReference(failed, opt, f.residual, {}, "failed destination");
+      ExpectSelectionMatchesReference(source_bound, opt, source_bound.residual, {},
+                                      "source-bound");
+      opt.max_deliveries_per_cycle = 50;
+      ExpectSelectionMatchesReference(f, opt, f.residual, {}, "capped");
+    }
+  }
+}
+
+// Every policy, shard count and cycle of a multi-cycle run: each cycle's
+// decision feeds the next cycle's replica state, so duplicate counts, stale
+// re-pushes and holder sets all evolve.
+TEST(ControllerAlgorithmTest, SelectionMatchesReferenceForEveryPolicy) {
   for (SchedulingPolicy policy :
        {SchedulingPolicy::kRarestFirst, SchedulingPolicy::kRandom, SchedulingPolicy::kSequential}) {
-    Fixture f = BigFixture();
-    ControllerAlgorithmOptions opt = DefaultOptions();
-    opt.policy = policy;
-    opt.use_incremental_fptas = false;
-    opt.use_path_cache = false;
-    opt.use_sched_early_exit = false;
-    uint64_t baseline = DecideFingerprint(f, opt);
-    opt.use_incremental_fptas = true;
-    opt.use_path_cache = true;
-    opt.use_sched_early_exit = true;
-    opt.num_threads = 4;
-    EXPECT_EQ(DecideFingerprint(f, opt), baseline)
-        << "policy " << static_cast<int>(policy);
+    for (int shards : {1, 2, 8}) {
+      Fixture f = BigFixture();
+      ControllerAlgorithmOptions opt = DefaultOptions();
+      opt.policy = policy;
+      opt.num_shards = shards;
+      ControllerAlgorithm driver(&f.topo, &f.routing, opt);
+      ControllerAlgorithm selector(&f.topo, &f.routing, opt);
+      for (int64_t cycle = 0; cycle < 6 && !f.state.AllComplete(); ++cycle) {
+        const std::vector<SelectedDelivery> got =
+            ControllerAlgorithmTestPeer::Select(selector, cycle, f.state, f.residual, {});
+        const std::vector<SelectedDelivery> want =
+            ReferenceSelection(f.topo, f.routing, opt, f.state, f.residual, {});
+        ASSERT_FALSE(want.empty()) << "cycle " << cycle;
+        EXPECT_TRUE(got == want) << "policy " << static_cast<int>(policy) << " shards " << shards
+                                 << " cycle " << cycle << ": " << got.size() << " vs "
+                                 << want.size() << " selected";
+        CycleDecision d = driver.Decide(cycle, f.state, f.residual, {});
+        for (const TransferAssignment& t : d.transfers) {
+          for (int64_t b : t.blocks) {
+            ASSERT_TRUE(f.state.NoteDelivery(t.job, b, t.src_server, t.dst_server).ok());
+          }
+        }
+      }
+    }
   }
 }
 

@@ -10,8 +10,8 @@
 //     cycle cache is invalidated before every Decide (an all-dirty build),
 //     for any shard/thread count.
 //
-//  2. Warm-start relaxed parity (behavioral): with warm_start and
-//     split_contended on, decisions are no longer bitwise-equal to the cold
+//  2. Warm-start relaxed parity (behavioral): with warm_start on (and four
+//     shards), decisions are no longer bitwise-equal to the cold
 //     run, but the run must stay deterministic (same sequence twice ->
 //     identical fingerprints), actually engage the warm path, and still
 //     drive every job to completion.
@@ -201,14 +201,13 @@ TEST(WarmChurnTest, IncrementalMatchesColdForEveryPolicy) {
   }
 }
 
-// Relaxed parity end to end: warm_start + split_contended stays
+// Relaxed parity end to end: warm_start with four shards stays
 // deterministic under churn (identical digests on a repeat run, for any
 // thread count) and the warm path actually engages after the first cycle.
 TEST(WarmChurnTest, WarmStartDeterministicUnderChurn) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     ControllerAlgorithmOptions warm = Options(4, 1);
     warm.warm_start = true;
-    warm.split_contended = true;
     ChurnStats stats;
     const uint64_t first = RunChurnFingerprint(seed, warm, 8, CacheMode::kWarm, &stats);
     EXPECT_GT(stats.warm_cycles, 0) << "seed " << seed;
@@ -231,7 +230,6 @@ TEST(WarmChurnTest, WarmStartSchedulesComparableVolume) {
     RunChurnFingerprint(seed, Options(4, 1), 8, CacheMode::kWarm, &cold);
     ControllerAlgorithmOptions warm = Options(4, 1);
     warm.warm_start = true;
-    warm.split_contended = true;
     RunChurnFingerprint(seed, warm, 8, CacheMode::kWarm, &warm_stats);
     EXPECT_GE(warm_stats.scheduled_blocks, cold.scheduled_blocks / 2) << "seed " << seed;
     EXPECT_LE(warm_stats.scheduled_blocks, cold.scheduled_blocks * 2) << "seed " << seed;

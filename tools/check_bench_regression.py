@@ -3,17 +3,23 @@
 
 Compares a fresh run of a sweep benchmark (``bench_fig11_scalability``,
 ``bench_sim_hotpath``) against its committed baseline JSON at the repo root
-(``BENCH_controller.json``, ``BENCH_simulator.json``) and fails when an
-optimization config regressed by more than the threshold (25% by default).
-The two files must carry the same ``benchmark`` name.
+(``BENCH_controller.json``, ``BENCH_simulator.json``) and fails when a
+config regressed by more than its threshold. The two files must carry the
+same ``benchmark`` name.
 
-The comparison is *config-relative*, not absolute: for every (point, config)
-the metric is ``seconds[config] / seconds[reference_config]`` within the same
-JSON file — how much faster than the knobs-off build that config is. Absolute
-wall-clock differs run to run with machine load (we observe ±25% on shared
-runners), but the within-run ratio between two configs timed back-to-back in
-the same process is stable. A real regression — an optimization losing its
-edge — shows up as the fresh ratio exceeding the committed ratio.
+A baseline that names a ``reference_config`` (the simulator bench's
+full-reallocation mode) is compared *config-relative*: for every (point,
+config) the metric is ``seconds[config] / seconds[reference_config]`` within
+the same JSON file, and a config fails when its median ratio grew by more
+than ``--threshold`` (25% by default). Absolute wall-clock differs run to run
+with machine load (we observe ±25% on shared runners), but the within-run
+ratio between two configs timed back-to-back in the same process is stable.
+
+A baseline without a reference config (the controller bench, whose configs
+all run the same code with different thread and shard counts) is gated on
+absolute CPU seconds per (point, config), like the simulator bench's
+``large_points``: only a slowdown beyond ``--large-threshold`` (2x by
+default) fails.
 
 Usage:
   check_bench_regression.py --bench ./bench_fig11_scalability \
@@ -35,15 +41,12 @@ DEFAULT_THRESHOLD = 0.25
 # (seconds) are dominated by timer resolution and process-startup jitter, not
 # by the code under test — they are printed but not gated.
 DEFAULT_MIN_RUNTIME = 0.002
-# "large_points" (incremental-only scale points, no in-file reference config
-# to normalize by) are gated on absolute CPU seconds instead. Shared runners
-# show ±50% wall noise at these sizes, so only a >2x slowdown — an order-of-
-# magnitude regression territory, e.g. the SoA hot path losing its edge —
-# fails the gate.
+# Points with no in-file reference config to normalize by (the simulator's
+# incremental-only "large_points", every controller point) are gated on
+# absolute CPU seconds instead. Shared runners show ±50% wall noise at these
+# sizes, so only a >2x slowdown — an order-of-magnitude regression
+# territory, e.g. the SoA hot path losing its edge — fails the gate.
 DEFAULT_LARGE_THRESHOLD = 1.0
-# The knobs-off config every other config is normalized by, when the JSON
-# does not name one via its "reference_config" field.
-DEFAULT_REFERENCE_CONFIG = "baseline"
 # Steady-state baselines (``BENCH_steady.json``, stamped ``"mode":
 # "steady"``) are gated differently: every column is
 # simulation-deterministic (fixed seeds, modeled cycle costs — no wall
@@ -61,10 +64,9 @@ STEADY_METRICS = {
 }
 
 # Only gate (point, config) pairs whose committed relative time shows the
-# optimization had a *strong* edge there (e.g. the all-knobs config and the
-# incremental FPTAS, at ~0.4-0.6x of the reference). A config near 1.0x of
-# the reference (the path cache alone at 10^4 blocks, the thread pool on a
-# 1-core runner) has nothing to regress and its ratio is dominated by
+# optimization had a *strong* edge there (e.g. the incremental simulator at
+# a fraction of the full-reallocation reference). A config near 1.0x of the
+# reference has nothing to regress and its ratio is dominated by
 # measurement noise — gating it produces flaky failures, not signal. For the
 # strong-edge configs a real regression (the optimization breaking or losing
 # its edge) moves the ratio toward 1.0 — a +70-150% jump, far beyond both
@@ -73,7 +75,7 @@ EDGE_CUTOFF = 0.7
 
 # Amortized (cross-cycle) gates for the "steady_cycles" section written by
 # bench_fig11_scalability: N consecutive cycles of one long-lived controller
-# with ~5% job churn, warm start and contended-group splitting on. Two
+# with ~5% job churn and warm start on. Two
 # families of checks:
 #  - Within-run invariants, gated at any scale: every post-cold cycle must
 #    actually warm-start (warm_solves == cycles - 1), and the amortized warm
@@ -102,7 +104,9 @@ def load(path):
 
 
 def reference_config(data):
-    return data.get("reference_config", DEFAULT_REFERENCE_CONFIG)
+    """The config every other config is normalized by, or None when the
+    file's points are gated on absolute CPU seconds."""
+    return data.get("reference_config")
 
 
 def point_size(point):
@@ -145,30 +149,46 @@ def time_field(*datas):
     return "seconds"
 
 
-def compare_large(baseline_data, fresh_data, threshold):
-    """Absolute-CPU gate for the incremental-only 'large_points' family
-    (no in-file reference config to normalize by). Returns (compared,
-    failures) where failures is a list of (size, committed, fresh, delta).
-    Points present in only one file — e.g. a smoke run scales 10^6 down to
-    10^5 — are skipped."""
-    base = {p["flows"]: p for p in baseline_data.get("large_points", [])}
-    fresh = {p["flows"]: p for p in fresh_data.get("large_points", [])}
+def cpu_by_key(points, configs_key=None):
+    """{(size, config): cpu seconds} for a point list. Points carry either one
+    time per config (``cpu_seconds`` a dict) or, for ``large_points``, one
+    scalar time under the config name ``configs_key``."""
+    out = {}
+    for point in points:
+        secs = point.get("cpu_seconds", point.get("seconds"))
+        if isinstance(secs, dict):
+            for config, value in secs.items():
+                out[(point_size(point), config)] = value
+        else:
+            out[(point_size(point), configs_key)] = secs
+    return out
+
+
+def compare_absolute(base, fresh, threshold, min_runtime, title):
+    """Absolute-CPU gate over {(size, config): cpu seconds} maps. Returns
+    (compared, failures) where failures is a list of (key, committed, fresh,
+    delta). Keys present in only one file — e.g. a smoke run scales 10^6
+    down to 10^5 — and times below the min-runtime floor are skipped."""
     common = sorted(set(base) & set(fresh))
     failures = []
     if not common:
         return 0, failures
-    print(f"\nlarge points (absolute cpu_seconds, incremental only):")
-    print(f"{'flows':>10}  {'committed':>10}  {'fresh':>10}  {'delta':>7}")
-    for size in common:
-        was = base[size].get("cpu_seconds", base[size].get("seconds"))
-        now = fresh[size].get("cpu_seconds", fresh[size].get("seconds"))
-        delta = now / was - 1.0
-        flag = ""
-        if delta > threshold:
-            failures.append((size, was, now, delta))
-            flag = "  REGRESSION"
-        print(f"{size:>10}  {was:>10.3f}  {now:>10.3f}  {delta:>+6.1%}{flag}")
-    return len(common), failures
+    print(f"\n{title} (absolute cpu_seconds, max {threshold:+.0%}):")
+    print(f"{'size':>10}  {'config':>20}  {'committed':>10}  {'fresh':>10}  {'delta':>7}")
+    compared = 0
+    for key in common:
+        was, now = base[key], fresh[key]
+        delta = now / was - 1.0 if was > 0 else float("inf")
+        note = ""
+        if min(was, now) < min_runtime:
+            note = "  (below min-runtime floor, not gated)"
+        else:
+            compared += 1
+            if delta > threshold:
+                failures.append((key, was, now, delta))
+                note = "  REGRESSION"
+        print(f"{key[0]:>10}  {str(key[1]):>20}  {was:>10.4f}  {now:>10.4f}  {delta:>+6.1%}{note}")
+    return compared, failures
 
 
 TELEMETRY_OVERHEAD_MAX = 1.03
@@ -254,6 +274,72 @@ def compare_amortized(baseline_data, fresh_data, threshold):
     return compared, failures
 
 
+def compare_relative(baseline_data, fresh_data, ref_config, args):
+    """Config-relative gate (see the module docstring). Returns (compared,
+    failures) where failures is a list of (config, committed, fresh, delta)
+    median ratios."""
+    field = time_field(baseline_data, fresh_data)
+    print(f"comparing '{field}' ratios vs '{ref_config}'")
+    committed = relative_times(baseline_data, field)
+    fresh = relative_times(fresh_data, field)
+    committed_abs = absolute_times(baseline_data, field)
+    fresh_abs = absolute_times(fresh_data, field)
+
+    # Collect the per-point relative times of every config present in both
+    # files, then gate on the MEDIAN across points. A real regression — an
+    # optimization breaking or losing its edge — moves every point's ratio
+    # toward 1.0 at once; single-point excursions are measurement noise.
+    # Points whose absolute runtime in either file sits below the min-runtime
+    # floor are printed but excluded: a ratio of two sub-millisecond timings
+    # measures the scheduler, not the code.
+    per_config = {}
+    floored = 0
+    print(f"{'size':>10}  {'config':>20}  {'committed':>9}  {'fresh':>9}  {'delta':>7}")
+    for key in sorted(fresh):
+        if key not in committed or key[1] == ref_config:
+            continue
+        was, now = committed[key], fresh[key]
+        ref_key = (key[0], ref_config)
+        below_floor = any(abs_times.get(k, 0.0) < args.min_runtime
+                          for abs_times in (committed_abs, fresh_abs)
+                          for k in (key, ref_key))
+        note = ""
+        if below_floor:
+            floored += 1
+            note = "  (below min-runtime floor, not gated)"
+        print(f"{key[0]:>10}  {key[1]:>20}  {was:>9.3f}  {now:>9.3f}"
+              f"  {now / was - 1.0:>+6.1%}{note}")
+        if not below_floor:
+            per_config.setdefault(key[1], []).append((was, now))
+    if floored:
+        print(f"({floored} point(s) below the {args.min_runtime * 1e3:.1f} ms floor "
+              "excluded from the gate)")
+
+    def median(values):
+        values = sorted(values)
+        mid = len(values) // 2
+        return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+    compared = 0
+    failures = []
+    print(f"\n{'config':>20}  {'median committed':>16}  {'median fresh':>12}  {'delta':>7}")
+    for config, pairs in sorted(per_config.items()):
+        was = median([p[0] for p in pairs])
+        now = median([p[1] for p in pairs])
+        delta = now / was - 1.0
+        if was >= EDGE_CUTOFF:
+            print(f"{config:>20}  {was:>16.3f}  {now:>12.3f}  {delta:>+6.1%}"
+                  "  (not gated: no committed edge)")
+            continue
+        compared += 1
+        flag = ""
+        if delta > args.threshold:
+            failures.append((config, was, now, delta))
+            flag = "  REGRESSION"
+        print(f"{config:>20}  {was:>16.3f}  {now:>12.3f}  {delta:>+6.1%}{flag}")
+    return compared, failures
+
+
 def run_bench(bench, smoke):
     fd, path = tempfile.mkstemp(suffix=".json", prefix="bench_fresh_")
     os.close(fd)
@@ -324,7 +410,8 @@ def main():
                              "either file is below this many seconds "
                              f"(default {DEFAULT_MIN_RUNTIME})")
     parser.add_argument("--large-threshold", type=float, default=DEFAULT_LARGE_THRESHOLD,
-                        help="allowed absolute-CPU slowdown for 'large_points' "
+                        help="allowed absolute-CPU slowdown for points without a "
+                             "reference config and for 'large_points' "
                              f"(default {DEFAULT_LARGE_THRESHOLD} = 100%%)")
     parser.add_argument("--full", action="store_true",
                         help="run the full sweep instead of --smoke")
@@ -376,68 +463,18 @@ def main():
                              "and the other is a timing sweep")
         return compare_steady(baseline_data, fresh_data)
     ref_config = reference_config(baseline_data)
-    field = time_field(baseline_data, fresh_data)
-    print(f"comparing '{field}' ratios vs '{ref_config}'")
-    committed = relative_times(baseline_data, field)
-    fresh = relative_times(fresh_data, field)
-    committed_abs = absolute_times(baseline_data, field)
-    fresh_abs = absolute_times(fresh_data, field)
-
-    # Collect the per-point relative times of every config present in both
-    # files, then gate on the MEDIAN across points. A real regression — an
-    # optimization breaking or losing its edge — moves every point's ratio
-    # toward 1.0 at once; single-point excursions are measurement noise.
-    # Points whose absolute runtime in either file sits below the min-runtime
-    # floor are printed but excluded: a ratio of two sub-millisecond timings
-    # measures the scheduler, not the code.
-    per_config = {}
-    floored = 0
-    print(f"{'size':>10}  {'config':>20}  {'committed':>9}  {'fresh':>9}  {'delta':>7}")
-    for key in sorted(fresh):
-        if key not in committed or key[1] == ref_config:
-            continue
-        was, now = committed[key], fresh[key]
-        ref_key = (key[0], ref_config)
-        below_floor = any(abs_times.get(k, 0.0) < args.min_runtime
-                          for abs_times in (committed_abs, fresh_abs)
-                          for k in (key, ref_key))
-        note = ""
-        if below_floor:
-            floored += 1
-            note = "  (below min-runtime floor, not gated)"
-        print(f"{key[0]:>10}  {key[1]:>20}  {was:>9.3f}  {now:>9.3f}"
-              f"  {now / was - 1.0:>+6.1%}{note}")
-        if not below_floor:
-            per_config.setdefault(key[1], []).append((was, now))
-    if floored:
-        print(f"({floored} point(s) below the {args.min_runtime * 1e3:.1f} ms floor "
-              "excluded from the gate)")
-
-    def median(values):
-        values = sorted(values)
-        mid = len(values) // 2
-        return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
-
-    compared = 0
-    failures = []
-    print(f"\n{'config':>20}  {'median committed':>16}  {'median fresh':>12}  {'delta':>7}")
-    for config, pairs in sorted(per_config.items()):
-        was = median([p[0] for p in pairs])
-        now = median([p[1] for p in pairs])
-        delta = now / was - 1.0
-        if was >= EDGE_CUTOFF:
-            print(f"{config:>20}  {was:>16.3f}  {now:>12.3f}  {delta:>+6.1%}"
-                  "  (not gated: no committed edge)")
-            continue
-        compared += 1
-        flag = ""
-        if delta > args.threshold:
-            failures.append((config, was, now, delta))
-            flag = "  REGRESSION"
-        print(f"{config:>20}  {was:>16.3f}  {now:>12.3f}  {delta:>+6.1%}{flag}")
-
-    large_compared, large_failures = compare_large(baseline_data, fresh_data,
-                                                   args.large_threshold)
+    failures, abs_failures = [], []
+    if ref_config is not None:
+        compared, failures = compare_relative(baseline_data, fresh_data, ref_config, args)
+    else:
+        compared, abs_failures = compare_absolute(
+            cpu_by_key(baseline_data.get("points", [])), cpu_by_key(fresh_data.get("points", [])),
+            args.large_threshold, args.min_runtime, "sweep points")
+    large_compared, large_failures = compare_absolute(
+        cpu_by_key(baseline_data.get("large_points", []), "incremental"),
+        cpu_by_key(fresh_data.get("large_points", []), "incremental"),
+        args.large_threshold, args.min_runtime, "large points")
+    large_failures = abs_failures + large_failures
     overhead_compared, overhead_failures = compare_telemetry_overhead(fresh_data)
     amortized_compared, amortized_failures = compare_amortized(
         baseline_data, fresh_data, args.large_threshold)
@@ -451,10 +488,10 @@ def main():
         for config, was, now, delta in failures:
             print(f"  {config}: {was:.3f} -> {now:.3f} ({delta:+.1%})", file=sys.stderr)
     if large_failures:
-        print(f"\n{len(large_failures)} large-point regression(s) beyond "
+        print(f"\n{len(large_failures)} regression(s) beyond "
               f"{args.large_threshold:.0%} absolute CPU:", file=sys.stderr)
-        for size, was, now, delta in large_failures:
-            print(f"  {size} flows: {was:.3f}s -> {now:.3f}s ({delta:+.1%})",
+        for (size, config), was, now, delta in large_failures:
+            print(f"  {size} {config}: {was:.3f}s -> {now:.3f}s ({delta:+.1%})",
                   file=sys.stderr)
     if amortized_failures:
         print(f"\n{len(amortized_failures)} amortized steady-cycle check(s) failed:",
@@ -469,7 +506,7 @@ def main():
                   f"({ratio:.3f}x)", file=sys.stderr)
     if failures or large_failures or amortized_failures or overhead_failures:
         return 1
-    print(f"\nOK: {compared} configs"
+    print(f"\nOK: {compared} " + ("configs" if ref_config is not None else "points")
           + (f" + {large_compared} large points" if large_compared else "")
           + (f" + {amortized_compared} amortized checks" if amortized_compared else "")
           + (f" + {overhead_compared} overhead check" if overhead_compared else "")
