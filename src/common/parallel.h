@@ -8,10 +8,10 @@
 // equal CycleDecision fingerprints for num_threads == 1 and > 1).
 //
 // ForWeighted partitions by a per-item weight vector instead of by count, so
-// heterogeneous work units (controller shard groups, per-job candidate
-// ranges) land on threads in near-equal total weight. The partition is a
-// pure function of (weights, num_threads); outputs stay position-addressed,
-// so the determinism contract is unchanged.
+// heterogeneous work units (per-job candidate ranges) land on threads in
+// near-equal total weight. The partition is a pure function of (weights,
+// num_threads); outputs stay position-addressed, so the determinism
+// contract is unchanged.
 //
 // With num_threads == 1 no threads are ever created and For() degenerates to
 // a plain function call, keeping the default configuration free of any

@@ -22,8 +22,6 @@
 
 namespace bds {
 
-class ParallelRunner;
-
 struct McfPath {
   // Indices into McfInstance::capacities.
   std::vector<int> links;
@@ -65,9 +63,9 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // a commodity's current demand are clamped proportionally by the seeder.
 //
 // Warm solves obey the relaxed-parity contract (DESIGN.md §9.7): the result
-// is feasible, deterministic and bitwise-invariant to the shard and thread
-// counts, and the objective stays within (1 + epsilon) of the cold solve's
-// — but it is NOT bitwise equal to the cold solve.
+// is feasible and deterministic, and the objective stays within
+// (1 + epsilon) of the cold solve's — but it is NOT bitwise equal to the
+// cold solve.
 struct McfWarmSeed {
   std::vector<std::vector<double>> flows;
 
@@ -79,27 +77,6 @@ struct McfWarmInfo {
   bool used = false;                // A non-empty seed was applied.
   int64_t seeded_commodities = 0;   // Commodities with a carried flow.
   int64_t phases_skipped = 0;       // Alpha phases provably without pushes.
-};
-
-struct McfShardOptions {
-  // Upper bound on the link-disjoint commodity groups solved in parallel.
-  int num_shards = 1;
-  // Test seam: replaces the MaxPushes-derived push budget when > 0, forcing
-  // the wedge path on small instances. 0 = the real budget.
-  int64_t max_pushes_override = 0;
-};
-
-struct McfShardStats {
-  int num_components = 0;    // Link-sharing components found.
-  int num_groups = 0;        // Groups actually solved (<= num_shards).
-  // The summed group pushes reached the global budget, so the sharded run
-  // was discarded and redone as one serial loop (bitwise equal to the
-  // one-group solve's wedged run).
-  bool wedge_rerun = false;
-  int64_t pushes = 0;        // Summed over groups (final run if rerun).
-  // CPU time in the global finalize (the merge). Measured only with more
-  // than one shard; 0 otherwise.
-  double merge_seconds = 0.0;
 };
 
 // Garg–Könemann FPTAS in Fleischer's phase form: total flow >= (1 - epsilon)
@@ -127,27 +104,13 @@ struct McfShardStats {
 // every per-path flow — is bit-identical to the straightforward Fleischer
 // loop kept as the test oracle (tests/oracles/fptas_oracle.h).
 //
-// Sharding (options.num_shards > 1): the workspace's link-sharing
-// components are packed into at most num_shards groups (largest weight
-// first onto the lightest group, ties to the lowest index; each group's
-// commodities ascending), and each group runs the push loop on `pool`
-// against a private copy of the lengths and the GLOBAL instance's constants
-// (delta, alpha ladder, push budget). Groups are link-disjoint, so their
-// pushes are exactly the one-group loop's; one FinalizeFptas over the
-// combined raw flow is the merge. The result is therefore bit-identical for
-// ANY shard count and thread count. A run whose summed group pushes reach
-// the global budget (never observed outside adversarial inputs) is redone
-// as one serial loop, so even wedged runs match. With one shard the solve
-// is that serial loop, with no clock reads or extra allocations.
-//
-// `pool` may be null (serial); `stats` is optional. `warm` (optional) seeds
-// the multiplicative-weights state — raw flow, edge lengths, per-commodity
-// minima, and the alpha-ladder entry — once from the global instance (see
+// The solve is one serial loop over every commodity, whatever the
+// controller's shard count (sharding splits selection only; DESIGN.md
+// §9.5). `warm` (optional) seeds the multiplicative-weights state — raw
+// flow, edge lengths, per-commodity minima, and the alpha-ladder entry (see
 // McfWarmSeed); null or an empty seed is the cold solve, bit for bit.
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1,
-                        const McfShardOptions& options = {}, ParallelRunner* pool = nullptr,
-                        McfShardStats* stats = nullptr, const McfWarmSeed* warm = nullptr,
-                        McfWarmInfo* warm_info = nullptr);
+                        const McfWarmSeed* warm = nullptr, McfWarmInfo* warm_info = nullptr);
 
 // Validation helper shared by tests: largest relative link-capacity
 // violation of `result` against `instance` (0 = fully feasible).

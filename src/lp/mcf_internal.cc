@@ -301,7 +301,7 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
     cp_off[c + 1] = static_cast<int32_t>(cp_ids.size());
   }
 
-  // Shared-structure detection (see SolveMcfFptas's commentary in mcf.cc):
+  // Shared-structure detection (see SolveMcfFptas's commentary in mcf.h):
   // every commodity RouteBlocks emits shares one uplink (first link), one
   // downlink (second-to-last) and its private demand edge (last link) across
   // all of its paths.
@@ -500,9 +500,7 @@ void FptasWorkspace::BuildComponents(const FlatMcf& flat) {
 
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
-                                const std::vector<int32_t>& commodities,
-                                std::vector<double>& length,
-                                std::vector<double>& raw_flow,
+                                std::vector<double>& length, std::vector<double>& raw_flow,
                                 const FptasLoopControl* control) {
   BDS_CHECK(length.size() == ws.num_edges + 1);
   BDS_CHECK(raw_flow.size() == ws.num_paths);
@@ -518,10 +516,9 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   constexpr uint8_t kFast1 = FptasWorkspace::kFast1;
   constexpr uint8_t kStructured = FptasWorkspace::kStructured;
 
-  // cached_min is indexed by global commodity id so the loop body reads
-  // exactly like the one-group solve's. 0.0 understates any real length and
-  // forces a first fresh scan; a warm start seeds the exact minima of the
-  // seeded lengths instead (still a valid lower bound — lengths only grow).
+  // 0.0 understates any real length and forces a first fresh scan; a warm
+  // start seeds the exact minima of the seeded lengths instead (still a
+  // valid lower bound — lengths only grow).
   std::vector<double> cached_min;
   if (control != nullptr && control->cached_min_seed != nullptr) {
     BDS_CHECK(control->cached_min_seed->size() == ws.num_commodities);
@@ -529,13 +526,15 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   } else {
     cached_min.assign(ws.num_commodities, 0.0);
   }
+  // Commodities with paths, ascending: the round-robin order.
   std::vector<int32_t> active;
-  active.reserve(commodities.size());
-  for (int32_t c : commodities) {
-    if (cp_off[static_cast<size_t>(c)] != cp_off[static_cast<size_t>(c) + 1]) {
-      active.push_back(c);
+  active.reserve(ws.num_commodities);
+  for (size_t c = 0; c < ws.num_commodities; ++c) {
+    if (cp_off[c] != cp_off[c + 1]) {
+      active.push_back(static_cast<int32_t>(c));
     }
   }
+  const size_t num_with_paths = active.size();
 
   // Certified early stop (see the header), per link-sharing component.
   const std::vector<int32_t>& com_component = ws.com_component;
@@ -544,24 +543,6 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   FptasCertifier certifier(flat, ws, epsilon);
   std::vector<FptasCertRecord>* cert_log = control != nullptr ? control->cert_log : nullptr;
   int64_t certified_commodities = 0;
-
-  // Cross-group advisory budget (see FptasLoopControl): report every
-  // kSharedReport pushes; once the shared total covers the global budget,
-  // cut off exactly like the local cap (the caller discards and reruns).
-  std::atomic<int64_t>* shared_pushes =
-      control != nullptr ? control->shared_pushes : nullptr;
-  const int64_t shared_max = control != nullptr ? control->shared_max_pushes : 0;
-  constexpr int64_t kSharedReport = 1024;
-  int64_t unreported = 0;
-  auto shared_cutoff = [&]() -> bool {  // True: abort this loop.
-    if (shared_pushes == nullptr || unreported < kSharedReport) {
-      return false;
-    }
-    const int64_t total =
-        shared_pushes->fetch_add(unreported, std::memory_order_relaxed) + unreported;
-    unreported = 0;
-    return total >= shared_max;
-  };
 
   int64_t pushes = 0;
   double alpha = control != nullptr && control->alpha_start > 0.0
@@ -587,7 +568,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
       const uint8_t kind = ws.com_kind[static_cast<size_t>(c)];
       const size_t cs = static_cast<size_t>(c);
       // Shared push + post-push bound check for the structured kinds (see
-      // the commentary in mcf.cc's solver entry point).
+      // SolveMcfFptas's commentary in mcf.h).
       auto push_path = [&](int32_t best) {
         raw_flow[static_cast<size_t>(best)] += path_bneck[static_cast<size_t>(best)];
         for (int32_t j = path_off[best]; j < path_off[best + 1]; ++j) {
@@ -667,9 +648,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
             h1 *= q2[3];
             h2 *= q2[4];
           }
-          ++unreported;
-          if (++pushes >= max_pushes || shared_cutoff()) {
-            pushes = std::max(pushes, max_pushes);
+          if (++pushes >= max_pushes) {
             break;
           }
           if (h2 >= threshold) {
@@ -719,9 +698,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
           a1 *= q0[2];
           h1 *= q0[3];
           h2 *= q0[4];
-          ++unreported;
-          if (++pushes >= max_pushes || shared_cutoff()) {
-            pushes = std::max(pushes, max_pushes);
+          if (++pushes >= max_pushes) {
             break;
           }
           if (h2 >= threshold) {
@@ -781,9 +758,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
             break;
           }
           push_path(best);
-          ++unreported;
-          if (++pushes >= max_pushes || shared_cutoff()) {
-            pushes = std::max(pushes, max_pushes);
+          if (++pushes >= max_pushes) {
             break;
           }
           if (structured) {
@@ -845,12 +820,9 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     alpha *= 1.0 + epsilon;
   }
 
-  if (shared_pushes != nullptr && unreported > 0) {
-    shared_pushes->fetch_add(unreported, std::memory_order_relaxed);
-  }
   stats.pushes = pushes;
   stats.commodities_retired =
-      static_cast<int64_t>(commodities.size() - active.size()) - certified_commodities;
+      static_cast<int64_t>(num_with_paths - active.size()) - certified_commodities;
   return stats;
 }
 
@@ -934,8 +906,7 @@ FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& fl
   // exact link order the push loop uses (the fast kinds' sentinel padding
   // only inserts bitwise no-op adds of 0.0), so seeding cached_min with
   // these values skips scans whose outcome is already proved. The global
-  // minimum drives the alpha-ladder fast-forward and is computed over ALL
-  // commodities so warm sharded solves share one entry point.
+  // minimum over every commodity drives the alpha-ladder fast-forward.
   double m_min = std::numeric_limits<double>::infinity();
   for (size_t c = 0; c < ws.num_commodities; ++c) {
     if (ws.cp_off[c] == ws.cp_off[c + 1]) {

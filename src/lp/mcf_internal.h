@@ -1,10 +1,10 @@
 // Shared internals of the Fleischer/Garg–Könemann FPTAS.
 //
-// SolveMcfFptas runs one push loop per link-disjoint commodity group, and
-// the test oracle (tests/oracles/fptas_oracle.h) runs the straightforward
-// loop; both use the same multiplicative-weights dynamics over the same
-// flattened instance. This header exposes the pieces they share so every
-// group, whatever the shard count, is bit-compatible by construction:
+// SolveMcfFptas runs the tuned push loop and the test oracle
+// (tests/oracles/fptas_oracle.h) runs the straightforward loop; both use the
+// same multiplicative-weights dynamics over the same flattened instance.
+// This header exposes the pieces they share so the two are bit-compatible
+// by construction:
 //
 //  * FlatMcf / FlattenMcf — the flattened form (demands reduced to virtual
 //    edges, dead paths dropped). Every derived constant of the algorithm —
@@ -14,30 +14,22 @@
 //  * FptasWorkspace — the CSR layout + structured-shape acceleration tables
 //    of the tuned solver, plus the link-sharing components, precomputed once
 //    per instance.
-//  * RunFptasPushLoop — the tuned phase loop, parameterized by the commodity
-//    subset it may push for. Restricted to a subset whose paths are
-//    link-disjoint from every other subset's, the loop performs the
-//    identical push sequence (same doubles, same order per commodity) as the
-//    full run, because no outside push can touch the lengths it reads. That
-//    property is what makes per-shard solves mergeable without any epsilon
-//    of divergence (see DESIGN.md "Sharded controller").
+//  * RunFptasPushLoop — the tuned phase loop over every commodity. Its push
+//    sequence (same doubles, same order per commodity) is the reference
+//    loop's; only the bookkeeping that proves a scan unnecessary differs.
 //  * FptasCertifier — the per-component early stop: a component stops
 //    pushing once a weak-duality bound computed from its current lengths
 //    proves that its finalized flow is within 1/(1 + eps/10) of its
 //    optimum. The check reads only the component's own lengths and raw
-//    flow, so every solver stops a component at the same phase.
+//    flow, so both solvers stop a component at the same phase.
 //  * FinalizeFptas — per-component feasibility normalization + two greedy
-//    augmentation rounds. With several groups this IS the merge step: it
-//    enforces the capacity budget over the combined raw flow and rebalances
-//    slack, and it is a pure function of (flat, raw_flow) — order-
-//    independent of how the raw flow was produced.
+//    augmentation rounds, a pure function of (flat, raw_flow).
 //
 // Everything here is an implementation detail: no stability promised.
 
 #ifndef BDS_SRC_LP_MCF_INTERNAL_H_
 #define BDS_SRC_LP_MCF_INTERNAL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -72,9 +64,7 @@ struct FlatMcf {
 
 FlatMcf FlattenMcf(const McfInstance& instance);
 
-// Garg–Könemann initialization; depends on the GLOBAL edge count, which is
-// why per-shard solves must share the global FlatMcf rather than flatten
-// their own slice.
+// Garg–Könemann initialization; depends on the flattened edge count.
 double FptasDelta(const FlatMcf& flat, double epsilon);
 
 // Push-count cap shared by the solvers (bounds a wedged multiplicative-
@@ -87,8 +77,7 @@ McfResult MakeEmptyFptasResult(const McfInstance& instance);
 // Precomputed acceleration tables for RunFptasPushLoop (the tuned solver's
 // CSR layout, per-path bottlenecks/factors, structured-shape detection and
 // padded fast rows) and the instance's link-sharing components. Pure
-// function of (flat, epsilon); read-only during the loop, so one workspace
-// serves any number of concurrent per-shard loops.
+// function of (flat, epsilon); read-only during the loop.
 struct FptasWorkspace {
   FptasWorkspace(const FlatMcf& flat, double epsilon);
 
@@ -137,7 +126,7 @@ struct FptasWorkspace {
   void BuildComponents(const FlatMcf& flat);
 };
 
-// Scale-free finalize of the combined raw flow, one link-sharing component
+// Scale-free finalize of the raw flow, one link-sharing component
 // at a time: divide the component's flow and edge loads by its maximum edge
 // congestion, then top each path up with its residual slack (two greedy
 // rounds in path order), making the flow maximal. Scatters into `result`
@@ -201,28 +190,18 @@ struct FptasLoopStats {
 };
 
 // Optional controls for RunFptasPushLoop. Defaults reproduce the classic
-// cold loop exactly; warm starts and the sharded solver's cross-group push
-// accounting hook in here.
+// cold loop exactly; warm starts hook in here.
 struct FptasLoopControl {
   // Alpha-ladder entry point. <= 0 starts cold at delta * flat.max_len; a
   // warm start passes a grid-aligned value (delta * max_len * (1+eps)^k)
   // computed by SeedFptasWarmState so every skipped phase is provably a
   // no-op under the seeded lengths.
   double alpha_start = -1.0;
-  // Per-GLOBAL-commodity-id seed for the loop's cached minima (must
+  // Per-commodity seed for the loop's cached minima (must
   // lower-bound — or equal — the commodity's current cheapest path length
   // under the caller's `length`). nullptr: cold init to 0.0, which forces a
   // first fresh scan per commodity.
   const std::vector<double>* cached_min_seed = nullptr;
-  // Cross-group advisory push budget (sharded solver): every ~1024 pushes
-  // the loop adds its delta to `shared_pushes`; once the shared total
-  // reaches `shared_max_pushes` the loop cuts off exactly like its own
-  // max_pushes cap. Purely an early-abort for runs the sharded solver will
-  // discard and redo serially (the wedge path) — it can only fire when the
-  // deterministic wedge predicate is already guaranteed true, so results
-  // never depend on its timing. nullptr disables.
-  std::atomic<int64_t>* shared_pushes = nullptr;
-  int64_t shared_max_pushes = 0;
   // Test seam: every certificate evaluation is appended here. nullptr
   // disables.
   std::vector<FptasCertRecord>* cert_log = nullptr;
@@ -249,39 +228,30 @@ struct FptasWarmState {
 // seeded fresh-scan results, and the furthest alpha-ladder entry whose
 // skipped phases provably push nothing (alpha advanced by iterated
 // (1+eps) multiplication, mirroring the loop's own ladder bit for bit).
-// Pure function of its inputs — shard- and thread-count invariant.
+// Pure function of its inputs.
 FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& flat,
                                   const FptasWorkspace& ws, double epsilon, double delta,
                                   const McfWarmSeed& warm);
 
-// The tuned Fleischer phase loop over the commodities in `commodities`
-// (ascending global ids, a union of whole link-sharing components;
-// commodities without paths are skipped). Reads and multiplies `length`
-// (size flat.num_edges() + 1; the last slot is the sentinel padding edge
-// and must be 0.0) and accumulates into `raw_flow` (size flat.num_paths();
-// only the subset's paths are touched). delta and max_pushes must come from
-// the global flat (FptasDelta / MaxPushes).
+// The tuned Fleischer phase loop over every commodity with paths, in
+// ascending id order. Reads and multiplies `length` (size
+// flat.num_edges() + 1; the last slot is the sentinel padding edge and must
+// be 0.0) and accumulates into `raw_flow` (size flat.num_paths()). delta
+// and max_pushes come from FptasDelta / MaxPushes; the loop stops after
+// max_pushes pushes even if the ladder is unfinished (a safety cap on a
+// wedged multiplicative-weights loop; tests pass smaller budgets).
 //
 // Certified early stop: at the end of phases 1, 2, 4, ... the loop checks
 // every component that still has an active commodity; a certified
 // component stops pushing.
 //
-// Determinism/parity contract: with `commodities` = all commodities this is
-// the one-group solve. With a strict subset whose paths are link-disjoint
-// from the complement's, the loop's pushes are bit-identical to the
-// corresponding pushes of the full run (the only state coupling between
-// commodities is shared link lengths, and a component's certificate reads
-// only its own state, so it stops at the same phase). max_pushes is counted
-// per call; SolveMcfFptas detects a wedged multi-group run (summed group
-// pushes >= the global budget) after the join and redoes it as one serial
-// loop, so wedged results match the one-group solve exactly.
+// Parity contract: the pushes, and so the raw flow, are bit-identical to
+// the reference loop's under the same budget (tests/oracles/fptas_oracle.h).
 //
-// `control` may be null (cold loop, no shared budget); see FptasLoopControl.
+// `control` may be null (cold loop); see FptasLoopControl.
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
-                                const std::vector<int32_t>& commodities,
-                                std::vector<double>& length,
-                                std::vector<double>& raw_flow,
+                                std::vector<double>& length, std::vector<double>& raw_flow,
                                 const FptasLoopControl* control = nullptr);
 
 }  // namespace mcf_internal

@@ -638,28 +638,15 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     }
   }
 
-  McfShardStats shard_stats;
-  McfResult flows;
-  if (options_.use_exact_lp) {
-    flows = SolveMcfSimplex(instance);
-  } else {
-    McfShardOptions shard_options;
-    shard_options.num_shards = options_.num_shards;
-    flows = SolveMcfFptas(instance, fptas_epsilon, shard_options, &pool_, &shard_stats, warm_ptr,
-                          &warm_info);
-    if (options_.num_shards > 1) {
-      decision.num_shard_components = shard_stats.num_components;
-      decision.num_shard_groups = shard_stats.num_groups;
-    }
-  }
+  McfResult flows = options_.use_exact_lp
+                        ? SolveMcfSimplex(instance)
+                        : SolveMcfFptas(instance, fptas_epsilon, warm_ptr, &warm_info);
   decision.warm_solve = warm_info.used;
   decision.fptas_phases_skipped = warm_info.phases_skipped;
-  // Phase accounting: instance build + push loops count as "solve"; with
-  // several shards the global finalize is the shard merge and is charged to
-  // "merge" along with the block-split/transfer-emission tail below.
+  // Phase accounting: instance build + solve count as "solve"; the
+  // block-split/transfer-emission tail below is "merge".
   const double solve_cpu_end = ProcessCpuSeconds();
-  decision.solve_cpu_seconds += (solve_cpu_end - route_cpu0) - shard_stats.merge_seconds;
-  decision.merge_cpu_seconds += shard_stats.merge_seconds;
+  decision.solve_cpu_seconds += solve_cpu_end - route_cpu0;
   if (!flows.ok) {
     route_warm_.valid = false;
     return;  // No routing possible this cycle (e.g. LP hit iteration limit).

@@ -95,16 +95,14 @@ struct ControllerAlgorithmOptions {
   // independent work out over a small pool. Decisions are byte-identical
   // for every value (deterministic static partitioning, per-slot writes).
   int num_threads = 1;
-  // Fleet-scale sharding (DESIGN.md "Sharded controller"). With K > 1 the
-  // cycle's work is partitioned K ways: the selection queue carves K
-  // contiguous ranges of the candidate array and merges them at pop time
-  // (SelectionQueue), and the routing FPTAS runs per link-disjoint commodity
-  // group with one global finalize as the merge under the
-  // bandwidth-separator budget. Decisions are bit-identical to
+  // Fleet-scale sharding of selection (DESIGN.md "Sharded controller").
+  // With K > 1 the selection queue carves K contiguous ranges of the
+  // candidate array and merges them at pop time (SelectionQueue); routing
+  // is one solve whatever K is. Decisions are bit-identical to
   // num_shards = 1 for ANY shard and thread count — selection pops the same
-  // strict total order and the per-group push loops share the global
-  // instance's constants (see the shard-parity suite). Ignored by
-  // schedule_all / use_exact_lp, whose solvers have no shard seam.
+  // strict total order (see the shard-parity suite). use_exact_lp shards
+  // selection the same way; schedule_all, which selects every outstanding
+  // delivery, ignores it.
   int num_shards = 1;
   // Degradation-ladder knob positions (src/scheduler/degradation.h); only
   // consulted when SetDegradationRung raises the rung above kNormal.

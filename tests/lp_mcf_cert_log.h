@@ -6,7 +6,6 @@
 #define BDS_TESTS_LP_MCF_CERT_LOG_H_
 
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "src/lp/mcf.h"
@@ -36,12 +35,10 @@ inline CertificateRun RunCertificateLog(const McfInstance& inst, double eps) {
     length[l] = delta / flat.cap[l];
   }
   std::vector<double> raw_flow(flat.paths.size(), 0.0);
-  std::vector<int32_t> all(static_cast<size_t>(inst.num_commodities()));
-  std::iota(all.begin(), all.end(), 0);
   mcf_internal::FptasLoopControl control;
   control.cert_log = &run.log;
   mcf_internal::RunFptasPushLoop(flat, ws, eps, delta, mcf_internal::MaxPushes(flat, eps, delta),
-                                 all, length, raw_flow, &control);
+                                 length, raw_flow, &control);
   return run;
 }
 

@@ -18,7 +18,13 @@
 //  * byte-scale controller-shaped commodities sharing their end links, some
 //    with a middle link on two paths (barred from the fast kinds);
 // plus capped and uncapped demands, zero-capacity (dead) links, and
-// single-link paths.
+// single-link paths. Hand-built instances pin the component structure the
+// certified early stop works on: several private-link components, one
+// contended component, and two contended components that certify at
+// different phases. A budgeted run of the push loop covers its push cap.
+// The McfShardTest cases keep the names of the former sharded-solve suite:
+// the solve now runs one loop for every shard count, and what is left of
+// that suite's contract is one result whichever thread calls it.
 
 #include "src/lp/mcf.h"
 
@@ -29,7 +35,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
+#include "src/lp/mcf_internal.h"
+#include "tests/lp_mcf_cert_log.h"
 #include "tests/oracles/fptas_oracle.h"
 
 namespace bds {
@@ -124,22 +133,47 @@ McfInstance RandomInstance(uint64_t seed) {
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
+void ExpectBitwiseEqual(const McfResult& fast, const McfResult& ref, const char* what,
+                        uint64_t seed) {
+  ASSERT_EQ(fast.ok, ref.ok) << what << " seed " << seed;
+  ASSERT_EQ(fast.flow.size(), ref.flow.size()) << what << " seed " << seed;
+  for (size_t c = 0; c < ref.flow.size(); ++c) {
+    ASSERT_EQ(fast.flow[c].size(), ref.flow[c].size()) << what << " seed " << seed;
+    for (size_t p = 0; p < ref.flow[c].size(); ++p) {
+      ASSERT_EQ(Bits(fast.flow[c][p]), Bits(ref.flow[c][p]))
+          << what << " seed " << seed << " commodity " << c << " path " << p << ": "
+          << fast.flow[c][p] << " vs " << ref.flow[c][p];
+    }
+  }
+  ASSERT_EQ(Bits(fast.total_flow), Bits(ref.total_flow)) << what << " seed " << seed;
+}
+
+// Appends one link-sharing component: every commodity's paths cross a
+// fresh shared backbone link.
+void AddContendedComponent(Rng& rng, McfInstance& inst, int ncom) {
+  const int backbone = static_cast<int>(inst.capacities.size());
+  inst.capacities.push_back(rng.Uniform(50.0, 100.0));
+  for (int c = 0; c < ncom; ++c) {
+    McfCommodity com;
+    const int npaths = static_cast<int>(rng.UniformInt(1, 3));
+    for (int p = 0; p < npaths; ++p) {
+      McfPath path;
+      const int up = static_cast<int>(inst.capacities.size());
+      inst.capacities.push_back(rng.Uniform(5.0, 50.0));
+      path.links.push_back(up);
+      path.links.push_back(backbone);
+      com.paths.push_back(path);
+    }
+    com.demand = rng.Uniform(0.5, 10.0);
+    inst.commodities.push_back(com);
+  }
+}
+
 TEST(McfFptasParityTest, RandomInstancesMatchReferenceBitForBit) {
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     McfInstance inst = RandomInstance(seed);
-    McfResult fast = SolveMcfFptas(inst, 0.1);
-    McfResult ref = SolveMcfFptasReference(inst, 0.1);
-    ASSERT_EQ(fast.ok, ref.ok) << "seed " << seed;
-    ASSERT_EQ(fast.flow.size(), ref.flow.size()) << "seed " << seed;
-    for (size_t c = 0; c < ref.flow.size(); ++c) {
-      ASSERT_EQ(fast.flow[c].size(), ref.flow[c].size()) << "seed " << seed;
-      for (size_t p = 0; p < ref.flow[c].size(); ++p) {
-        ASSERT_EQ(Bits(fast.flow[c][p]), Bits(ref.flow[c][p]))
-            << "seed " << seed << " commodity " << c << " path " << p << ": "
-            << fast.flow[c][p] << " vs " << ref.flow[c][p];
-      }
-    }
-    ASSERT_EQ(Bits(fast.total_flow), Bits(ref.total_flow)) << "seed " << seed;
+    ExpectBitwiseEqual(SolveMcfFptas(inst, 0.1), SolveMcfFptasReference(inst, 0.1), "random",
+                       seed);
   }
 }
 
@@ -147,15 +181,9 @@ TEST(McfFptasParityTest, VariedEpsilonsMatchReferenceBitForBit) {
   for (double epsilon : {0.05, 0.1, 0.25, 0.5}) {
     for (uint64_t seed = 100; seed < 105; ++seed) {
       McfInstance inst = RandomInstance(seed);
-      McfResult fast = SolveMcfFptas(inst, epsilon);
-      McfResult ref = SolveMcfFptasReference(inst, epsilon);
-      ASSERT_EQ(fast.ok, ref.ok);
-      for (size_t c = 0; c < ref.flow.size(); ++c) {
-        for (size_t p = 0; p < ref.flow[c].size(); ++p) {
-          ASSERT_EQ(Bits(fast.flow[c][p]), Bits(ref.flow[c][p]))
-              << "eps " << epsilon << " seed " << seed;
-        }
-      }
+      SCOPED_TRACE(testing::Message() << "eps " << epsilon);
+      ExpectBitwiseEqual(SolveMcfFptas(inst, epsilon), SolveMcfFptasReference(inst, epsilon),
+                         "varied epsilon", seed);
     }
   }
 }
@@ -217,15 +245,7 @@ TEST(McfFptasParityTest, SharedEndpointsAtByteScaleMatchReferenceBitForBit) {
   for (uint64_t seed = 300; seed < 330; ++seed) {
     McfInstance inst = SharedEndpointByteScaleInstance(seed, &aliased);
     McfResult fast = SolveMcfFptas(inst, 0.1);
-    McfResult ref = SolveMcfFptasReference(inst, 0.1);
-    ASSERT_EQ(fast.ok, ref.ok) << "seed " << seed;
-    for (size_t c = 0; c < ref.flow.size(); ++c) {
-      for (size_t p = 0; p < ref.flow[c].size(); ++p) {
-        ASSERT_EQ(Bits(fast.flow[c][p]), Bits(ref.flow[c][p]))
-            << "seed " << seed << " commodity " << c << " path " << p;
-      }
-    }
-    ASSERT_EQ(Bits(fast.total_flow), Bits(ref.total_flow)) << "seed " << seed;
+    ExpectBitwiseEqual(fast, SolveMcfFptasReference(inst, 0.1), "byte scale", seed);
     EXPECT_LE(MaxCapacityViolation(inst, fast), 1e-6 * 4e7) << "seed " << seed;
   }
   EXPECT_GT(aliased, 0);
@@ -252,10 +272,142 @@ TEST(McfFptasParityTest, EmptyAndDegenerateInstances) {
   c.paths.push_back({{0}});
   inst.commodities.push_back(c);
   McfResult fast = SolveMcfFptas(inst, 0.1);
-  McfResult ref = SolveMcfFptasReference(inst, 0.1);
   ASSERT_TRUE(fast.ok);
-  EXPECT_EQ(Bits(fast.flow[1][0]), Bits(ref.flow[1][0]));
+  ExpectBitwiseEqual(fast, SolveMcfFptasReference(inst, 0.1), "degenerate", 0);
   EXPECT_TRUE(fast.flow[0].empty());
+}
+
+// Four structured commodities on private links: four components, each
+// running its own ladder and certificate.
+TEST(McfFptasParityTest, DisjointComponentsMatchReferenceBitForBit) {
+  Rng rng(7);
+  McfInstance inst;
+  for (int c = 0; c < 4; ++c) {
+    inst.commodities.push_back(StructuredCommodity(rng, inst, 3, 2));
+  }
+  ASSERT_EQ(RunCertificateLog(inst, 0.1).components.size(), 4u);
+  ExpectBitwiseEqual(SolveMcfFptas(inst, 0.1), SolveMcfFptasReference(inst, 0.1), "disjoint",
+                     7);
+}
+
+// Twelve commodities sharing one backbone: one component.
+TEST(McfFptasParityTest, ContendedComponentMatchesReferenceBitForBit) {
+  Rng rng(11);
+  McfInstance inst;
+  AddContendedComponent(rng, inst, 12);
+  ASSERT_EQ(RunCertificateLog(inst, 0.1).components.size(), 1u);
+  ExpectBitwiseEqual(SolveMcfFptas(inst, 0.1), SolveMcfFptasReference(inst, 0.1), "contended",
+                     11);
+}
+
+// Two contended components whose certificates hold at different phases:
+// the tuned loop must stop each at the phase the reference does, and keep
+// pushing for the other.
+TEST(McfFptasParityTest, ComponentsCertifyingAtDifferentPhasesMatchReference) {
+  int found = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    McfInstance inst;
+    AddContendedComponent(rng, inst, static_cast<int>(rng.UniformInt(2, 6)));
+    AddContendedComponent(rng, inst, static_cast<int>(rng.UniformInt(2, 6)));
+    const CertificateRun run = RunCertificateLog(inst, 0.1);
+    ASSERT_EQ(run.components.size(), 2u);
+    int64_t phases[2] = {0, 0};
+    for (const mcf_internal::FptasCertRecord& rec : run.log) {
+      if (rec.certified) {
+        phases[rec.component] = rec.phase;
+      }
+    }
+    if (phases[0] == 0 || phases[1] == 0 || phases[0] == phases[1]) {
+      continue;
+    }
+    ++found;
+    ExpectBitwiseEqual(SolveMcfFptas(inst, 0.1), SolveMcfFptasReference(inst, 0.1),
+                       "split-phase certificates", seed);
+  }
+  EXPECT_GE(found, 3);
+}
+
+// The push cap: a budget that ends the run mid-ladder (inside a fast,
+// structured or generic scan) must stop the tuned loop after exactly the
+// pushes the reference makes, so both finalize the same raw flow.
+TEST(McfFptasParityTest, BudgetedPushLoopMatchesBudgetedReference) {
+  constexpr double kEps = 0.1;
+  int bound = 0;
+  for (uint64_t seed = 80; seed < 90; ++seed) {
+    const McfInstance inst = RandomInstance(seed);
+    const mcf_internal::FlatMcf flat = mcf_internal::FlattenMcf(inst);
+    const mcf_internal::FptasWorkspace ws(flat, kEps);
+    const double delta = mcf_internal::FptasDelta(flat, kEps);
+    for (int64_t budget : {1, 7, 40}) {
+      McfResult fast = mcf_internal::MakeEmptyFptasResult(inst);
+      fast.ok = true;
+      if (!flat.paths.empty()) {
+        std::vector<double> length(ws.num_edges + 1, 0.0);
+        for (size_t l = 0; l < ws.num_edges; ++l) {
+          length[l] = delta / flat.cap[l];
+        }
+        std::vector<double> raw_flow(ws.num_paths, 0.0);
+        const mcf_internal::FptasLoopStats stats =
+            mcf_internal::RunFptasPushLoop(flat, ws, kEps, delta, budget, length, raw_flow);
+        ASSERT_LE(stats.pushes, budget) << "seed " << seed << " budget " << budget;
+        bound += stats.pushes == budget ? 1 : 0;
+        mcf_internal::FinalizeFptas(flat, ws, raw_flow, fast);
+      }
+      ExpectBitwiseEqual(fast, SolveMcfFptasReference(inst, kEps, budget), "budgeted", seed);
+    }
+  }
+  // Most runs must actually hit the cap, or the test shows nothing.
+  EXPECT_GE(bound, 20);
+}
+
+// Solves `inst` once per slot, concurrently on `threads` pool threads.
+std::vector<McfResult> SolveConcurrently(const McfInstance& inst, int threads, size_t copies) {
+  std::vector<McfResult> out(copies);
+  ParallelRunner pool(threads);
+  pool.For(copies, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = SolveMcfFptas(inst, 0.1);
+    }
+  });
+  return out;
+}
+
+// The controller solves on whichever thread runs its cycle, for any
+// num_shards: concurrent solves of one instance must each match the
+// reference bit for bit, so the solve keeps no state between calls.
+TEST(McfShardTest, MatchesUnshardedBitForBitAcrossShardAndThreadCounts) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const McfInstance inst = RandomInstance(seed);
+    const McfResult ref = SolveMcfFptasReference(inst, 0.1);
+    for (int threads : {1, 4}) {
+      for (const McfResult& r : SolveConcurrently(inst, threads, 4)) {
+        ExpectBitwiseEqual(r, ref, "concurrent-vs-reference", seed);
+      }
+    }
+  }
+}
+
+TEST(McfShardTest, EmptyAndDegenerateInstances) {
+  McfInstance empty;
+  for (const McfResult& r : SolveConcurrently(empty, 4, 4)) {
+    EXPECT_TRUE(r.ok);
+  }
+
+  // A commodity with no paths next to a normal one.
+  McfInstance inst;
+  inst.capacities = {4.0};
+  inst.commodities.emplace_back();
+  McfCommodity c;
+  c.paths.push_back({{0}});
+  inst.commodities.push_back(c);
+  const McfResult serial = SolveMcfFptas(inst, 0.1);
+  ASSERT_TRUE(serial.ok);
+  for (const McfResult& r : SolveConcurrently(inst, 4, 4)) {
+    ASSERT_TRUE(r.ok);
+    ExpectBitwiseEqual(r, serial, "degenerate", 0);
+    EXPECT_TRUE(r.flow[0].empty());
+  }
 }
 
 }  // namespace

@@ -2,15 +2,12 @@
 //
 // A warm solve carries the previous solve's finalized flows into the
 // multiplicative-weights state. Its contract is deliberately weaker than the
-// sharded solver's bitwise parity: the result must be FEASIBLE, DETERMINISTIC
-// and bitwise-invariant to the shard and thread counts, and its objective
-// must stay within (1 + eps) of the cold
-// solve's — but it is NOT bitwise-equal to the cold solve. An empty seed must
-// degenerate to the cold solver bit for bit.
-//
-// Also covers the wedged-budget seam: with max_pushes_override forcing the
-// per-group budget, the solver must discard the wedged sharded run and redo
-// it serially, so ANY shard count still matches shards=1 bitwise.
+// cold solver's bitwise parity with the reference: the result must be
+// FEASIBLE and DETERMINISTIC, and its objective must stay within (1 + eps)
+// of the cold solve's — but it is NOT bitwise-equal to the cold solve. An
+// empty seed must degenerate to the cold solver bit for bit. Shard and
+// thread invariance of warm decisions is a controller property, checked in
+// scheduler_warm_churn_test.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/lp/mcf.h"
 
@@ -111,7 +107,7 @@ McfWarmSeed SeedFrom(const McfResult& result) {
 
 // The headline property, 30 seeds: seeding a solve from its own cold result
 // stays feasible, keeps the objective inside the (1 + eps) band, and is
-// bitwise-invariant to shard and thread counts.
+// deterministic.
 TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     McfInstance inst = RandomInstance(seed);
@@ -120,7 +116,7 @@ TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
     McfWarmSeed warm_seed = SeedFrom(cold);
 
     McfWarmInfo info;
-    McfResult warm = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &warm_seed, &info);
+    McfResult warm = SolveMcfFptas(inst, kEps, &warm_seed, &info);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     if (cold.total_flow > 0.0) {
@@ -133,20 +129,7 @@ TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
       EXPECT_LE(warm.total_flow, cold.total_flow / (1.0 - kEps) + 1e-9)
           << "seed " << seed;
     }
-
-    // Shard/thread invariance of the warm solve: the seed and alpha-ladder
-    // entry are computed once from the global instance, so every
-    // shard/thread combination reproduces the single-shard warm result bit
-    // for bit.
-    for (int shards : {1, 8}) {
-      for (int threads : {1, 4}) {
-        ParallelRunner pool(threads);
-        McfShardOptions opt;
-        opt.num_shards = shards;
-        McfResult again = SolveMcfFptas(inst, kEps, opt, &pool, nullptr, &warm_seed);
-        ExpectBitwiseEqual(again, warm, "warm-shard-invariance", seed);
-      }
-    }
+    ExpectBitwiseEqual(SolveMcfFptas(inst, kEps, &warm_seed), warm, "warm-determinism", seed);
   }
 }
 
@@ -157,11 +140,11 @@ TEST(McfWarmTest, EmptySeedDegeneratesToColdBitwise) {
     McfInstance inst = RandomInstance(seed);
     McfResult cold = SolveMcfFptas(inst, kEps);
     McfWarmInfo info;
-    McfResult null_seed = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, nullptr, &info);
+    McfResult null_seed = SolveMcfFptas(inst, kEps, nullptr, &info);
     ExpectBitwiseEqual(null_seed, cold, "null-seed", seed);
     EXPECT_FALSE(info.used);
     McfWarmSeed empty;
-    McfResult empty_seed = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &empty, &info);
+    McfResult empty_seed = SolveMcfFptas(inst, kEps, &empty, &info);
     ExpectBitwiseEqual(empty_seed, cold, "empty-seed", seed);
     EXPECT_FALSE(info.used);
   }
@@ -182,7 +165,7 @@ TEST(McfWarmTest, StaleSeedFromChurnedInstanceStaysFeasible) {
         com.demand *= rng.Uniform(0.2, 0.9);
       }
     }
-    McfResult warm = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &stale);
+    McfResult warm = SolveMcfFptas(inst, kEps, &stale);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     for (int c = 0; c < inst.num_commodities(); ++c) {
@@ -191,14 +174,13 @@ TEST(McfWarmTest, StaleSeedFromChurnedInstanceStaysFeasible) {
             << "seed " << seed << " commodity " << c;
       }
     }
-    McfResult again = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &stale);
+    McfResult again = SolveMcfFptas(inst, kEps, &stale);
     ExpectBitwiseEqual(again, warm, "stale-seed-determinism", seed);
   }
 }
 
 // Warm start on one giant contended component (every commodity shares the
-// backbone, so the component is one group for any shard count): feasible,
-// inside the objective band, and bitwise-invariant to shards and threads.
+// backbone): feasible, inside the objective band, and deterministic.
 TEST(McfWarmTest, WarmContendedInstanceFeasibleAndShardInvariant) {
   for (uint64_t seed = 70; seed < 76; ++seed) {
     McfInstance inst = ContendedInstance(seed, 16);
@@ -206,48 +188,13 @@ TEST(McfWarmTest, WarmContendedInstanceFeasibleAndShardInvariant) {
     ASSERT_TRUE(cold.ok) << "seed " << seed;
     McfWarmSeed warm_seed = SeedFrom(cold);
     McfWarmInfo info;
-    McfResult warm = SolveMcfFptas(inst, kEps, {}, nullptr, nullptr, &warm_seed, &info);
+    McfResult warm = SolveMcfFptas(inst, kEps, &warm_seed, &info);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_TRUE(info.used) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     EXPECT_GE((1.0 + kEps) * warm.total_flow, cold.total_flow - 1e-9) << "seed " << seed;
-    for (int shards : {4, 8}) {
-      ParallelRunner pool(4);
-      McfShardOptions opt;
-      opt.num_shards = shards;
-      McfShardStats stats;
-      McfResult again = SolveMcfFptas(inst, kEps, opt, &pool, &stats, &warm_seed);
-      EXPECT_EQ(stats.num_groups, 1) << "seed " << seed;
-      ExpectBitwiseEqual(again, warm, "warm-contended-shard-invariance", seed);
-    }
-  }
-}
-
-// Wedged-budget parity: when the (overridden) push budget cuts the run off,
-// the solver must notice the wedge and redo the solve as one serial
-// loop, so shards=8 still equals shards=1 bit for bit instead of each group
-// spending a private budget.
-TEST(McfWarmTest, WedgedBudgetParityAcrossShardCounts) {
-  for (uint64_t seed = 80; seed < 90; ++seed) {
-    McfInstance inst = RandomInstance(seed);
-    for (int64_t budget : {1, 7, 40}) {
-      McfShardOptions opt1;
-      opt1.num_shards = 1;
-      opt1.max_pushes_override = budget;
-      McfResult serial = SolveMcfFptas(inst, kEps, opt1, nullptr);
-      ParallelRunner pool(4);
-      McfShardOptions opt8;
-      opt8.num_shards = 8;
-      opt8.max_pushes_override = budget;
-      McfShardStats stats;
-      McfResult sharded = SolveMcfFptas(inst, kEps, opt8, &pool, &stats);
-      ExpectBitwiseEqual(sharded, serial, "wedged-budget", seed);
-      // The rerun only fires when the budget actually bound the run; a
-      // large-enough budget lets the solve finish normally.
-      if (stats.num_groups > 1 && stats.pushes >= budget) {
-        EXPECT_TRUE(stats.wedge_rerun) << "seed " << seed << " budget " << budget;
-      }
-    }
+    ExpectBitwiseEqual(SolveMcfFptas(inst, kEps, &warm_seed), warm, "warm-contended-determinism",
+                       seed);
   }
 }
 

@@ -16,7 +16,8 @@ using mcf_internal::FlatPath;
 using mcf_internal::FlattenMcf;
 using mcf_internal::FptasWorkspace;
 
-McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
+McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon,
+                                  int64_t max_pushes) {
   BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
   BDS_TIMED_SCOPE("fptas.reference");
   McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
@@ -53,7 +54,9 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
   // shorter than min(1, alpha * (1 + eps)); when every commodity's cheapest
   // path reaches 1 the algorithm stops. A link-sharing component also stops
   // once its certificate holds (checked at the end of phases 1, 2, 4, ...).
-  const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
+  if (max_pushes <= 0) {
+    max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
+  }
   int64_t pushes = 0;
   int64_t phases = 0;
   mcf_internal::FptasCertifier certifier(flat, ws, epsilon);
