@@ -369,12 +369,12 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
 // ---------------------------------------------------------------------------
 // Steady-cycles mode: N consecutive Decide() cycles on one long-lived
 // controller + replica state with ~5% job churn between cycles, everything
-// on (4 threads, 4 shards, incremental candidates, FPTAS warm start). This
-// is the workload the cross-cycle caches
-// (DESIGN.md §9.7) exist for: the first cycle runs cold, every later cycle
-// re-prices only the churned slice of the candidate array and warm-starts
-// the routing FPTAS. The acceptance target is the amortized warm-cycle CPU
-// at the 10^7-block fleet point staying well under the cold cycle.
+// on (4 threads, 4 shards, incremental candidates). This is the workload
+// the cross-cycle candidate cache (DESIGN.md §9.7) exists for: the first
+// cycle runs cold, every later ("warm") cycle re-prices only the churned
+// slice of the candidate array; routing is solved cold every cycle. The
+// acceptance target is the amortized warm-cycle CPU at the 10^7-block
+// fleet point staying well under the cold cycle.
 
 struct SteadyCyclesStats {
   int64_t jobs = 0;
@@ -388,8 +388,6 @@ struct SteadyCyclesStats {
   double warm_cpu_mean = 0.0;  // Amortized over cycles 1..N-1.
   double warm_cpu_max = 0.0;
   double reuse_rate = 0.0;  // Mean candidate-slot reuse over warm cycles.
-  int64_t phases_skipped = 0;
-  int warm_solves = 0;
 };
 
 SteadyCyclesStats RunSteadyCycles(bool smoke) {
@@ -432,7 +430,6 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   ControllerAlgorithmOptions options;
   options.num_threads = 4;
   options.num_shards = 4;
-  options.warm_start = true;
   ControllerAlgorithm algorithm(&topo, &routing, options);
 
   SteadyCyclesStats stats;
@@ -446,9 +443,9 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
 
   bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn, all caches on",
                      "one long-lived controller; warm cycles re-price only churned "
-                     "candidates and warm-start the FPTAS (DESIGN.md §9.7)");
-  std::printf("%6s %10s %10s %10s %10s %10s %8s %8s %6s\n", "cycle", "cpu (ms)", "select",
-              "solve", "scheduled", "transfers", "reuse", "phases", "warm");
+                     "candidates (DESIGN.md §9.7)");
+  std::printf("%6s %10s %10s %10s %10s %10s %8s\n", "cycle", "cpu (ms)", "select", "solve",
+              "scheduled", "transfers", "reuse");
 
   double warm_total = 0.0;
   double reuse_total = 0.0;
@@ -461,11 +458,10 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
     const double reuse =
         slots > 0 ? static_cast<double>(decision.cand_slots_reused) / static_cast<double>(slots)
                   : 0.0;
-    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%% %8lld %6s\n", cyc, cpu * 1e3,
+    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%%\n", cyc, cpu * 1e3,
                 decision.select_cpu_seconds * 1e3, decision.solve_cpu_seconds * 1e3,
                 static_cast<long long>(decision.scheduled_blocks), decision.transfers.size(),
-                reuse * 1e2, static_cast<long long>(decision.fptas_phases_skipped),
-                decision.warm_solve ? "yes" : "no");
+                reuse * 1e2);
     if (cyc == 0) {
       stats.cold_cpu = cpu;
       BDS_CHECK_MSG(decision.cand_slots_reused == 0, "first cycle cannot reuse candidates");
@@ -474,8 +470,6 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
       warm_cycles++;
       stats.warm_cpu_max = std::max(stats.warm_cpu_max, cpu);
       reuse_total += reuse;
-      stats.phases_skipped += decision.fptas_phases_skipped;
-      stats.warm_solves += decision.warm_solve ? 1 : 0;
     }
 
     // Untimed churn: this cycle's transfers land, the oldest jobs finish
@@ -521,11 +515,6 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
                bds::telemetry::Enabled() ? "true" : "false");
   std::fprintf(f, "  \"flight_recorder_enabled\": %s,\n",
                bds::telemetry::FlightRecorder::Global().active() ? "true" : "false");
-  // The parallelism and fleet sweeps time cold single-cycle decisions; warm
-  // start only applies in the steady_cycles section, which carries its own
-  // stamp. Regression checks require this header stamp to match between
-  // baseline and fresh runs.
-  std::fprintf(f, "  \"warm_start\": false,\n");
   std::fprintf(f, "  \"configs\": [");
   for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
     std::fprintf(f, "%s\"%s\"", ci == 0 ? "" : ", ", kSweepConfigs[ci].name);
@@ -593,16 +582,14 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
   std::fprintf(f,
                "  \"steady_cycles\": {\"jobs\": %lld, \"blocks_per_job\": %lld, "
                "\"blocks\": %lld, \"cycles\": %d, \"churn_jobs\": %lld, "
-               "\"num_threads\": %d, \"num_shards\": %d, \"warm_start\": true,\n",
+               "\"num_threads\": %d, \"num_shards\": %d,\n",
                static_cast<long long>(steady.jobs), static_cast<long long>(steady.blocks_per_job),
                static_cast<long long>(steady.blocks), steady.cycles,
                static_cast<long long>(steady.churn_jobs), steady.num_threads, steady.num_shards);
   std::fprintf(f,
                "    \"cold_cpu_seconds\": %.6f, \"warm_cpu_seconds\": %.6f, "
-               "\"warm_cpu_max_seconds\": %.6f, \"reuse_rate\": %.4f, "
-               "\"phases_skipped\": %lld, \"warm_solves\": %d}\n",
-               steady.cold_cpu, steady.warm_cpu_mean, steady.warm_cpu_max, steady.reuse_rate,
-               static_cast<long long>(steady.phases_skipped), steady.warm_solves);
+               "\"warm_cpu_max_seconds\": %.6f, \"reuse_rate\": %.4f}\n",
+               steady.cold_cpu, steady.warm_cpu_mean, steady.warm_cpu_max, steady.reuse_rate);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());

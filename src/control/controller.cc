@@ -41,10 +41,9 @@ struct Digest {
 };
 
 // Simulation-determined cycle fields folded into RunReport::cycles_digest.
-// Wall-clock-derived values (scheduling/routing seconds, the feedback delay,
-// which folds the algorithm's measured runtime in, and modeled_cost_seconds
-// when use_measured_cost is on) are excluded: they vary run to run without
-// the simulation differing.
+// Wall-clock-derived values (scheduling/routing seconds and the feedback
+// delay, which folds the algorithm's measured runtime in) are excluded: they
+// vary run to run without the simulation differing.
 uint64_t MixCycle(uint64_t h, const CycleStats& c) {
   h = MixU64(h, static_cast<uint64_t>(c.cycle));
   h = MixDoubleU64(h, c.start_time);
@@ -759,8 +758,7 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
       "scheduler.cand_reuse", "scheduler",
       {{"units_reused", static_cast<double>(decision.cand_units_reused)},
        {"units_repriced", static_cast<double>(decision.cand_units_repriced)},
-       {"slots_reused", static_cast<double>(decision.cand_slots_reused)},
-       {"phases_skipped", static_cast<double>(decision.fptas_phases_skipped)}});
+       {"slots_reused", static_cast<double>(decision.cand_slots_reused)}});
   stats.scheduled_blocks = decision.scheduled_blocks;
   stats.merged_subtasks = decision.merged_subtasks;
   stats.scheduling_seconds = decision.scheduling_seconds;
@@ -776,15 +774,13 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
     stats.feedback_delay =
         agent_monitor_.SampleFeedbackLoop(active_agent_dcs_, decision.total_seconds());
   }
-  // Cycle-deadline watchdog: price the cycle (deterministic model by
-  // default; measured CPU forfeits cross-run determinism) and convert any
-  // overrun into decision staleness — the decisions reach agents late.
+  // Cycle-deadline watchdog: price the cycle with the deterministic model
+  // and convert any overrun into decision staleness — the decisions reach
+  // agents late.
   double cycle_cost = 0.0;
   if (watchdog_.enabled()) {
-    cycle_cost = watchdog_.options().use_measured_cost
-                     ? decision.total_seconds()
-                     : watchdog_.ModelCost(pending_before, decision.scheduled_blocks,
-                                           decision.merged_subtasks);
+    cycle_cost = watchdog_.ModelCost(pending_before, decision.scheduled_blocks,
+                                     decision.merged_subtasks);
     stats.modeled_cost_seconds = cycle_cost;
   }
 

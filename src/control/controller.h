@@ -90,9 +90,8 @@ struct CycleStats {
   double scheduling_seconds = 0.0;
   double routing_seconds = 0.0;
   double feedback_delay = 0.0;
-  // Degradation rung this cycle ran at (DegradationRung as int) and the cost
-  // the watchdog charged it. The rung is simulation-determined; the cost is
-  // too unless use_measured_cost is on.
+  // Degradation rung this cycle ran at (DegradationRung as int) and the
+  // modeled cost the watchdog charged it; both are simulation-determined.
   int rung = 0;
   double modeled_cost_seconds = 0.0;
 };

@@ -14,7 +14,6 @@ ControllerOptions ToControllerOptions(const BdsOptions& options) {
   c.algorithm.max_deliveries_per_cycle = options.max_deliveries_per_cycle;
   c.algorithm.num_threads = options.num_threads;
   c.algorithm.num_shards = options.num_shards;
-  c.algorithm.warm_start = options.warm_start;
   c.separation.safety_threshold = options.safety_threshold;
   c.separation.bulk_rate_cap = options.bulk_rate_cap;
   c.fallback.visibility = options.fallback_visibility;

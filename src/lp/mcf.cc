@@ -91,13 +91,9 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
   return result;
 }
 
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWarmSeed* warm,
-                        McfWarmInfo* warm_info) {
+McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
   BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
   BDS_TIMED_SCOPE("fptas.solve");
-  if (warm_info != nullptr) {
-    *warm_info = McfWarmInfo{};
-  }
   McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
   const FlatMcf flat = FlattenMcf(instance);
   result.ok = true;
@@ -109,35 +105,16 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
   const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
   const FptasWorkspace ws(flat, epsilon);
 
-  // Starting state: cold lengths delta / cap and zero raw flow, or the warm
-  // seed. One slot past the real edges is the sentinel padding edge: length
-  // 0.0, never multiplied by a real factor, used by the workspace's
-  // unrolled scans.
-  const bool use_warm = warm != nullptr && !warm->empty();
-  mcf_internal::FptasWarmState wstate;
-  mcf_internal::FptasLoopControl control;
-  std::vector<double> length;
-  std::vector<double> raw_flow;
-  if (use_warm) {
-    wstate = mcf_internal::SeedFptasWarmState(instance, flat, ws, epsilon, delta, *warm);
-    control.alpha_start = wstate.alpha_start;
-    control.cached_min_seed = &wstate.cached_min;
-    if (warm_info != nullptr) {
-      warm_info->used = wstate.seeded_commodities > 0;
-      warm_info->seeded_commodities = wstate.seeded_commodities;
-      warm_info->phases_skipped = wstate.phases_skipped;
-    }
-    length = std::move(wstate.length);
-    raw_flow = std::move(wstate.raw_flow);
-  } else {
-    length.assign(ws.num_edges + 1, 0.0);
-    for (size_t l = 0; l < ws.num_edges; ++l) {
-      length[l] = delta / flat.cap[l];
-    }
-    raw_flow.assign(ws.num_paths, 0.0);
+  // Cold lengths delta / cap and zero raw flow. One slot past the real
+  // edges is the sentinel padding edge: length 0.0, never multiplied by a
+  // real factor, used by the workspace's unrolled scans.
+  std::vector<double> length(ws.num_edges + 1, 0.0);
+  for (size_t l = 0; l < ws.num_edges; ++l) {
+    length[l] = delta / flat.cap[l];
   }
+  std::vector<double> raw_flow(ws.num_paths, 0.0);
   const mcf_internal::FptasLoopStats loop = mcf_internal::RunFptasPushLoop(
-      flat, ws, epsilon, delta, max_pushes, length, raw_flow, &control);
+      flat, ws, epsilon, delta, max_pushes, length, raw_flow);
   // Normalize each component by its worst edge utilization, then the two
   // greedy augmentation rounds in path order.
   mcf_internal::FinalizeFptas(flat, ws, raw_flow, result);
@@ -149,11 +126,6 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
   BDS_TELEMETRY_COUNT("fptas.commodities_retired", loop.commodities_retired);
   BDS_TELEMETRY_COUNT("fptas.cert_checks", loop.cert_checks);
   BDS_TELEMETRY_COUNT("fptas.certified_stops", loop.certified_stops);
-  if (use_warm) {
-    BDS_TELEMETRY_COUNT("fptas.warm.solves", 1);
-    BDS_TELEMETRY_COUNT("fptas.warm.seeded_commodities", wstate.seeded_commodities);
-    BDS_TELEMETRY_COUNT("fptas.warm.phases_skipped", wstate.phases_skipped);
-  }
   telemetry::TraceInstant("fptas.solve", "lp",
                           {{"commodities", static_cast<double>(ws.num_commodities)},
                            {"paths", static_cast<double>(ws.num_paths)},

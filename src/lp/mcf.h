@@ -14,7 +14,6 @@
 #ifndef BDS_SRC_LP_MCF_H_
 #define BDS_SRC_LP_MCF_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "src/common/status.h"
@@ -56,29 +55,6 @@ struct McfResult {
 // as instances grow; intended for verification and Fig 13a's baseline curve.
 McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& options = {});
 
-// Warm-start seed for the FPTAS: a previous solve's *finalized*
-// per-commodity path flows, re-mapped by the caller onto the CURRENT
-// instance's commodity and path indexing. flows[c] empty (or the whole
-// vector shorter than c) means "no seed for commodity c"; flows larger than
-// a commodity's current demand are clamped proportionally by the seeder.
-//
-// Warm solves obey the relaxed-parity contract (DESIGN.md §9.7): the result
-// is feasible and deterministic, and the objective stays within
-// (1 + epsilon) of the cold solve's — but it is NOT bitwise equal to the
-// cold solve.
-struct McfWarmSeed {
-  std::vector<std::vector<double>> flows;
-
-  bool empty() const { return flows.empty(); }
-};
-
-// Observability of a warm solve; never part of decision fingerprints.
-struct McfWarmInfo {
-  bool used = false;                // A non-empty seed was applied.
-  int64_t seeded_commodities = 0;   // Commodities with a carried flow.
-  int64_t phases_skipped = 0;       // Alpha phases provably without pushes.
-};
-
 // Garg–Könemann FPTAS in Fleischer's phase form: total flow >= (1 - epsilon)
 // * optimum, capacities and demands respected exactly. epsilon in (0, 0.5].
 //
@@ -106,11 +82,8 @@ struct McfWarmInfo {
 //
 // The solve is one serial loop over every commodity, whatever the
 // controller's shard count (sharding splits selection only; DESIGN.md
-// §9.5). `warm` (optional) seeds the multiplicative-weights state — raw
-// flow, edge lengths, per-commodity minima, and the alpha-ladder entry (see
-// McfWarmSeed); null or an empty seed is the cold solve, bit for bit.
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1,
-                        const McfWarmSeed* warm = nullptr, McfWarmInfo* warm_info = nullptr);
+// §9.5).
+McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1);
 
 // Validation helper shared by tests: largest relative link-capacity
 // violation of `result` against `instance` (0 = fully feasible).

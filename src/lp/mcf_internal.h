@@ -134,7 +134,7 @@ struct FptasWorkspace {
 void FinalizeFptas(const FlatMcf& flat, const FptasWorkspace& ws,
                    std::vector<double>& raw_flow, McfResult& result);
 
-// One certificate evaluation, as recorded by FptasLoopControl::cert_log.
+// One certificate evaluation, as recorded by RunFptasPushLoop's cert_log.
 struct FptasCertRecord {
   int32_t component = -1;  // Link-sharing component of the checked set.
   int64_t phase = 0;       // Loop phase (1-based) at whose end it ran.
@@ -189,50 +189,6 @@ struct FptasLoopStats {
   int64_t certified_stops = 0;  // Components stopped by a certificate.
 };
 
-// Optional controls for RunFptasPushLoop. Defaults reproduce the classic
-// cold loop exactly; warm starts hook in here.
-struct FptasLoopControl {
-  // Alpha-ladder entry point. <= 0 starts cold at delta * flat.max_len; a
-  // warm start passes a grid-aligned value (delta * max_len * (1+eps)^k)
-  // computed by SeedFptasWarmState so every skipped phase is provably a
-  // no-op under the seeded lengths.
-  double alpha_start = -1.0;
-  // Per-commodity seed for the loop's cached minima (must
-  // lower-bound — or equal — the commodity's current cheapest path length
-  // under the caller's `length`). nullptr: cold init to 0.0, which forces a
-  // first fresh scan per commodity.
-  const std::vector<double>* cached_min_seed = nullptr;
-  // Test seam: every certificate evaluation is appended here. nullptr
-  // disables.
-  std::vector<FptasCertRecord>* cert_log = nullptr;
-};
-
-// Seeded multiplicative-weights state reconstructed from a previous solve's
-// finalized flows (see SeedFptasWarmState).
-struct FptasWarmState {
-  std::vector<double> length;      // num_edges + 1 (sentinel pinned to 0.0).
-  std::vector<double> raw_flow;    // num_paths, raw push units.
-  std::vector<double> cached_min;  // Per-commodity min path length at seed.
-  double alpha_start = -1.0;
-  int64_t seeded_commodities = 0;
-  int64_t phases_skipped = 0;
-};
-
-// Builds the warm-start state for a solve of `instance`: per-path raw flow
-// re-scaled from the finalized seed (clamped per commodity to the CURRENT
-// demand) to the congestion a full cold ladder reaches, edge lengths
-// reconstructed consistently from that raw flow
-// (length[e] = delta/cap[e] * exp(sum_i (raw_i/bneck_i) * ln(factor_i,e)) —
-// exactly the length a push sequence totalling raw would have produced,
-// demand edges included uniformly), per-commodity cached minima equal to the
-// seeded fresh-scan results, and the furthest alpha-ladder entry whose
-// skipped phases provably push nothing (alpha advanced by iterated
-// (1+eps) multiplication, mirroring the loop's own ladder bit for bit).
-// Pure function of its inputs.
-FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& flat,
-                                  const FptasWorkspace& ws, double epsilon, double delta,
-                                  const McfWarmSeed& warm);
-
 // The tuned Fleischer phase loop over every commodity with paths, in
 // ascending id order. Reads and multiplies `length` (size
 // flat.num_edges() + 1; the last slot is the sentinel padding edge and must
@@ -248,11 +204,12 @@ FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& fl
 // Parity contract: the pushes, and so the raw flow, are bit-identical to
 // the reference loop's under the same budget (tests/oracles/fptas_oracle.h).
 //
-// `control` may be null (cold loop); see FptasLoopControl.
+// Test seam: `cert_log`, when non-null, gets every certificate evaluation
+// appended.
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
                                 std::vector<double>& length, std::vector<double>& raw_flow,
-                                const FptasLoopControl* control = nullptr);
+                                std::vector<FptasCertRecord>* cert_log = nullptr);
 
 }  // namespace mcf_internal
 }  // namespace bds

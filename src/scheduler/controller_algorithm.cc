@@ -495,7 +495,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   return selected;
 }
 
-void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selected,
+void ControllerAlgorithm::RouteBlocks(std::vector<Selected> selected,
                                       const std::vector<Rate>& residual_capacities,
                                       CycleDecision& decision) {
   if (selected.empty()) {
@@ -590,92 +590,15 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
           ? std::min(0.5, options_.fptas_epsilon * options_.degraded_epsilon_factor)
           : options_.fptas_epsilon;
 
-  // FPTAS warm start (DESIGN.md §9.7): seed each commodity from the
-  // previous cycle's converged flow split for its (source DC, destination
-  // DC, job) key, scaled to the commodity's own demand. Valid only for the
-  // immediately following cycle with an unchanged path set (the cache's
-  // invalidation generation — link faults bump it via InvalidatePathCache)
-  // and unchanged effective epsilon / route cap (covers degradation-rung
-  // moves). A commodity whose path count differs from its key's simply gets
-  // no seed.
-  const bool fptas_path = !options_.use_exact_lp;
-  McfWarmSeed warm_seed;
-  McfWarmInfo warm_info;
-  const McfWarmSeed* warm_ptr = nullptr;
-  if (fptas_path && options_.warm_start) {
-    const RouteWarmCache& rc = route_warm_;
-    if (rc.valid && cycle == rc.last_cycle + 1 &&
-        rc.path_cache_invalidations == path_cache_.stats().invalidations &&
-        rc.epsilon == fptas_epsilon && rc.route_cap == route_cap) {
-      warm_seed.flows.resize(num_subtasks);
-      bool any = false;
-      for (size_t i = 0; i < num_subtasks; ++i) {
-        const Subtask& st = subtasks[i];
-        auto it = rc.flows.find(std::make_tuple(topo_->server(st.src).dc,
-                                                topo_->server(st.dst).dc, st.job));
-        if (it == rc.flows.end() ||
-            it->second.size() != instance.commodities[i].paths.size()) {
-          continue;
-        }
-        double sum = 0.0;
-        for (double v : it->second) {
-          sum += v;
-        }
-        if (sum <= 0.0) {
-          continue;
-        }
-        const double scale = instance.commodities[i].demand / sum;
-        std::vector<double>& seed = warm_seed.flows[i];
-        seed.resize(it->second.size());
-        for (size_t p = 0; p < seed.size(); ++p) {
-          seed[p] = it->second[p] * scale;
-        }
-        any = true;
-      }
-      if (any) {
-        warm_ptr = &warm_seed;
-      }
-    }
-  }
-
   McfResult flows = options_.use_exact_lp
                         ? SolveMcfSimplex(instance)
-                        : SolveMcfFptas(instance, fptas_epsilon, warm_ptr, &warm_info);
-  decision.warm_solve = warm_info.used;
-  decision.fptas_phases_skipped = warm_info.phases_skipped;
+                        : SolveMcfFptas(instance, fptas_epsilon);
   // Phase accounting: instance build + solve count as "solve"; the
   // block-split/transfer-emission tail below is "merge".
   const double solve_cpu_end = ProcessCpuSeconds();
   decision.solve_cpu_seconds += solve_cpu_end - route_cpu0;
   if (!flows.ok) {
-    route_warm_.valid = false;
     return;  // No routing possible this cycle (e.g. LP hit iteration limit).
-  }
-
-  // Carry this cycle's finalized flows as the next cycle's warm seed,
-  // accumulated per (src DC, dst DC, job) in subtask order (deterministic).
-  if (fptas_path && options_.warm_start) {
-    RouteWarmCache& rc = route_warm_;
-    rc.flows.clear();
-    for (size_t i = 0; i < num_subtasks; ++i) {
-      const Subtask& st = subtasks[i];
-      const std::vector<double>& f = flows.flow[i];
-      std::vector<double>& acc = rc.flows[std::make_tuple(topo_->server(st.src).dc,
-                                                          topo_->server(st.dst).dc, st.job)];
-      if (acc.empty()) {
-        acc.assign(f.size(), 0.0);
-      }
-      if (acc.size() == f.size()) {
-        for (size_t p = 0; p < f.size(); ++p) {
-          acc[p] += f[p];
-        }
-      }
-    }
-    rc.valid = true;
-    rc.last_cycle = cycle;
-    rc.path_cache_invalidations = path_cache_.stats().invalidations;
-    rc.epsilon = fptas_epsilon;
-    rc.route_cap = route_cap;
   }
 
   // Turn per-path flows into transfer assignments. Blocks are atomic, so a
@@ -777,7 +700,7 @@ CycleDecision ControllerAlgorithm::Decide(int64_t cycle, const ReplicaState& sta
   auto t1 = std::chrono::steady_clock::now();
   {
     BDS_TIMED_SCOPE("scheduler.route");
-    RouteBlocks(cycle, std::move(selected), residual_capacities, decision);
+    RouteBlocks(std::move(selected), residual_capacities, decision);
   }
   decision.routing_seconds = SecondsSince(t1);
   return decision;

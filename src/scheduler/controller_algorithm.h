@@ -15,9 +15,7 @@
 #ifndef BDS_SRC_SCHEDULER_CONTROLLER_ALGORITHM_H_
 #define BDS_SRC_SCHEDULER_CONTROLLER_ALGORITHM_H_
 
-#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -111,13 +109,6 @@ struct ControllerAlgorithmOptions {
   // kShedCandidates caps deliveries selected per cycle at this (combined
   // with max_deliveries_per_cycle by min when both are set):
   int64_t shed_deliveries_cap = 4096;
-  // --- Cross-cycle incrementality (DESIGN.md §9.7) ---
-  // FPTAS warm start: seed each cycle's routing solve from the previous
-  // cycle's converged per-commodity flows when the topology and path set
-  // are unchanged. Relaxed parity: feasible, deterministic for any
-  // thread/shard count, objective within (1 + fptas_epsilon) of the cold
-  // solve — but NOT bitwise equal to it. Off by default.
-  bool warm_start = false;
 };
 
 class ControllerAlgorithm {
@@ -134,18 +125,14 @@ class ControllerAlgorithm {
 
   // Drops the cached overlay-path skeletons. Call when the routing table's
   // route sets may have changed (rebuild, link fault); capacity-only changes
-  // never require it. Also implicitly invalidates the FPTAS warm-start cache
-  // (its validity check compares the cache's invalidation generation).
+  // never require it.
   void InvalidatePathCache() { path_cache_.Invalidate(); }
 
-  // Drops the cross-cycle caches (candidate slots + FPTAS warm seeds). The
-  // controller calls this on server failure and controller-replica failover;
-  // the caches' own identity/continuity checks (state uid, cycle + 1, knob
-  // values) cover everything else (invalidation matrix: DESIGN.md §9.7).
-  void InvalidateCycleCache() {
-    cand_cache_.valid = false;
-    route_warm_.valid = false;
-  }
+  // Drops the cross-cycle candidate cache. The controller calls this on
+  // server failure and controller-replica failover; the cache's own
+  // identity/continuity checks (state uid, cycle + 1, policy) cover
+  // everything else (invalidation matrix: DESIGN.md §9.7).
+  void InvalidateCycleCache() { cand_cache_.valid = false; }
 
   // Hit/miss/invalidation counters of the overlay path cache (see
   // ServerPathCache::Stats). Sharded and unsharded runs over the same cycle
@@ -205,25 +192,6 @@ class ControllerAlgorithm {
     CandVec scratch;  // Double buffer for the patch pass.
   };
 
-  // Previous cycle's converged path flows for the FPTAS warm start,
-  // accumulated per (source DC, destination DC, job). Exact subtask (server
-  // pair) identity rarely recurs across cycles — each cycle selects
-  // different blocks, and the sharding rule scatters their endpoint servers
-  // — but a job's DC pair is fixed, and path index i means the same WAN
-  // route for every server pair of that DC pair. A commodity is seeded with
-  // its key's flow split scaled to its own demand. Valid only for the next
-  // cycle with an unchanged path set (path-cache invalidation generation)
-  // and the same effective epsilon / route cap (covers degradation-rung
-  // moves).
-  struct RouteWarmCache {
-    bool valid = false;
-    int64_t last_cycle = 0;
-    int64_t path_cache_invalidations = 0;
-    double epsilon = 0.0;
-    int route_cap = 0;
-    std::map<std::tuple<DcId, DcId, JobId>, std::vector<double>> flows;
-  };
-
   // Joint formulation (schedule_all): every outstanding delivery, with its
   // first reachable holder as the source.
   std::vector<Selected> ScheduleAll(const ReplicaState& state,
@@ -242,7 +210,7 @@ class ControllerAlgorithm {
                        CycleDecision& decision);
 
   // Routing step: merge into subtasks, build the MCF, allocate rates.
-  void RouteBlocks(int64_t cycle, std::vector<Selected> selected,
+  void RouteBlocks(std::vector<Selected> selected,
                    const std::vector<Rate>& residual_capacities, CycleDecision& decision);
 
   const Topology* topo_;
@@ -261,7 +229,6 @@ class ControllerAlgorithm {
   // hundreds of megabytes per cycle.
   CandVec cand_work_;
   CandidateCache cand_cache_;
-  RouteWarmCache route_warm_;
 };
 
 // The selection's pop order is (eff_dup, salt, key) over these two values.

@@ -51,10 +51,6 @@ struct CycleDecision {
   int64_t cand_units_repriced = 0;
   int64_t cand_slots_reused = 0;
   int64_t cand_slots_repriced = 0;
-  // FPTAS warm start: whether a seed was applied this cycle, and how many
-  // alpha phases it provably skipped.
-  bool warm_solve = false;
-  int64_t fptas_phases_skipped = 0;
 
   double total_seconds() const { return scheduling_seconds + routing_seconds; }
 

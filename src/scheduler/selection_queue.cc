@@ -13,6 +13,9 @@ SelectionQueue::SelectionQueue(std::vector<SelectionCandidate>& cands, int num_s
     Shard& sh = shards_[s];
     sh.run_pos = sh.run_end = sh.tail = n * s / num;
     sh.end = n * (s + 1) / num;
+    // The K first carves together sort about what one unsharded carve
+    // sorts; deep-popping cycles re-carve with doubling sizes.
+    sh.chunk = std::max<size_t>(1, kFirstChunk / num);
   }
   if (num > 1) {
     // Each range's carve touches only its own slots.

@@ -51,7 +51,8 @@ struct SelectionCandidate {
 
 class SelectionQueue {
  public:
-  // First carve size per range; later carves double it.
+  // First carve size summed over the ranges (each of K ranges starts at
+  // kFirstChunk / K); later carves double it.
   static constexpr size_t kFirstChunk = 16384;
 
   // Queues every element of `cands`, which the queue permutes in place and
@@ -106,7 +107,7 @@ class SelectionQueue {
     size_t end = 0;                   // One past this range's last slot.
     size_t run_pos = 0, run_end = 0;  // Sorted run being popped.
     size_t tail = 0;                  // Start of the unsorted remainder.
-    size_t chunk = kFirstChunk;       // Next carve size.
+    size_t chunk = 0;                 // Next carve size.
   };
 
   void Carve(Shard& sh);  // Pre: sh.tail < sh.end.

@@ -35,10 +35,8 @@ inline CertificateRun RunCertificateLog(const McfInstance& inst, double eps) {
     length[l] = delta / flat.cap[l];
   }
   std::vector<double> raw_flow(flat.paths.size(), 0.0);
-  mcf_internal::FptasLoopControl control;
-  control.cert_log = &run.log;
   mcf_internal::RunFptasPushLoop(flat, ws, eps, delta, mcf_internal::MaxPushes(flat, eps, delta),
-                                 length, raw_flow, &control);
+                                 length, raw_flow, &run.log);
   return run;
 }
 

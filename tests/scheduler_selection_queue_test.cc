@@ -69,8 +69,8 @@ void ExpectPopOrderMatchesOracle(uint64_t seed, size_t n, int shards, size_t pop
 }
 
 TEST(SelectionQueueTest, PopOrderMatchesSortedOracleAcrossShardCounts) {
-  // 150,000 candidates: even at 8 shards each range (18,750) exceeds the
-  // first carve, so popping past 16,384 per range forces a doubled re-carve.
+  // 150,000 candidates: every range (18,750 at 8 shards) exceeds its first
+  // carve of 16,384 / K, so popping the whole array forces doubled re-carves.
   for (int shards : {1, 2, 4, 8}) {
     ExpectPopOrderMatchesOracle(/*seed=*/shards, 150'000, shards, 150'000);
   }
